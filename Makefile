@@ -2,21 +2,28 @@
 
 GO ?= go
 
-.PHONY: all check build test race race-engine shard-race serve-race serve-smoke telemetry chaos cover bench microbench experiments experiments-full fmt fmt-check vet vet-strict lint lint-sarif fuzz-smoke clean
+.PHONY: all check build test bench-test race race-engine serve-race serve-smoke telemetry chaos cover bench microbench experiments experiments-full fmt fmt-check vet vet-strict lint lint-sarif fuzz-smoke clean
 
 all: check
 
 # The full pre-merge gate: compile, formatting, vet, the moglint
-# invariant analyzers, tests, race detector, the repeated
-# concurrent-engine stress pass, the telemetry-service race pass, and
-# the network front door race pass.
-check: build fmt-check vet lint test race race-engine telemetry serve-race
+# invariant analyzers, tests (including the nested bench module),
+# race detector, the repeated concurrent-engine stress pass, the
+# telemetry-service race pass, and the network front door race pass.
+check: build fmt-check vet lint test bench-test race race-engine telemetry serve-race
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The end-to-end benchmark is a module of its own (bench/go.mod), so
+# ./... from the root never compiles it. Its tests include the -smoke
+# run of every workload (~5s), which catches API drift in the engine,
+# server and pietql packages it builds against.
+bench-test:
+	cd bench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -27,13 +34,6 @@ race:
 # overlay structures.
 race-engine:
 	$(GO) test -race -count=2 ./internal/core/... ./internal/sindex/... ./internal/overlay/...
-
-# The sharded scatter-gather engine, twice, under the race detector:
-# the deterministic-merge fuzz matrix, the sharded concurrent storm
-# with interleaved invalidations, and the chaos matrix covering the
-# shard-partition faultpoint.
-shard-race:
-	$(GO) test -race -count=2 -run 'Shard|Chaos' ./internal/core/...
 
 # The telemetry service under the race detector: the collector's
 # windowed histograms and rings, the HTTP exposition handlers reading
@@ -96,16 +96,10 @@ fuzz-smoke:
 cover:
 	$(GO) test -cover ./...
 
-# The benchmark baseline: full-size P2 (summable vs integration), P9
-# (parallel query path), P10 (pre-aggregated grid), P12 (sharded
-# scatter-gather sweep), and P13 (per-cell temporal index), with
-# machine-readable {meta, reports} JSON in BENCH_PR8.json and a delta
-# table against the committed BENCH_PR7.json baseline. Fails if any
-# tracked ns_per_op metric regresses more than 2x; runs whose recorded
-# gomaxprocs (or other meta config) differs from the baseline's warn
-# instead.
+# The end-to-end benchmark: builds bench/ into .bench_build/ and runs
+# the four mogisd workloads over real HTTP (see bench/README.md).
 bench:
-	$(GO) run ./cmd/mobench -full -exp P2,P9,P10,P12,P13 -json BENCH_PR8.json -baseline BENCH_PR7.json
+	bash bench/run.sh
 
 microbench:
 	$(GO) test -bench=. -benchmem ./...

@@ -2,7 +2,7 @@
 // and recorded in EXPERIMENTS.md: the paper-artifact reproductions
 // E1–E6 (Table 1, Figure 1, Figure 2, Remark 1, the Section-4 example
 // queries, the Section-5 Piet-QL pipeline) and the performance
-// studies P1–P13.
+// studies P1–P11 and P13 (P12 is retired; see EXPERIMENTS.md).
 //
 // Usage:
 //
@@ -12,7 +12,6 @@
 //	mobench -list         # list experiment ids
 //	mobench -full         # larger sweeps for the P-experiments
 //	mobench -workers 8    # cap of the P9 worker-count sweep
-//	mobench -shards 8     # cap of the P12 shard-count sweep (0 = up to GOMAXPROCS)
 //	mobench -grid-cells 32  # force the grid size in P10/P13's accelerated phases
 //	mobench -time-buckets 64  # force the per-cell time-bucket count (P10/P13)
 //	mobench -json out.json  # also write the reports as JSON ({meta, reports})
@@ -54,11 +53,10 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "run experiments by id, comma-separated (E1..E6, P1..P13, A1)")
+	exp := flag.String("exp", "", "run experiments by id, comma-separated (E1..E6, P1..P11, P13, A1)")
 	list := flag.Bool("list", false, "list experiment ids")
 	full := flag.Bool("full", false, "run the performance studies at full size")
 	workers := flag.Int("workers", 0, "largest worker count in the P9 fan-out sweep (0 = default {1,2,4})")
-	shards := flag.Int("shards", 0, "largest shard count in the P12 scatter-gather sweep (0 = doubling up to GOMAXPROCS)")
 	gridCells := flag.Int("grid-cells", 0, "grid size the grid experiments (P10, P13) use in their accelerated phases (0 = adaptive auto-sizing)")
 	timeBuckets := flag.Int("time-buckets", 0, "per-cell time buckets for the grid experiments (0 = adaptive, <0 disables the temporal index)")
 	jsonPath := flag.String("json", "", "write the reports (including Metrics) to this file as JSON")
@@ -109,14 +107,13 @@ func main() {
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Full:        *full,
 		Workers:     *workers,
-		Shards:      *shards,
 		GridCells:   *gridCells,
 		TimeBuckets: *timeBuckets,
 	}
 
 	// os.Exit skips defers, so the profile/metrics teardown lives in
 	// run; main only translates its code.
-	code := run(*exp, *full, *metrics, *workers, *shards, *jsonPath, *baseline, *cpuprofile, *memprofile, *tracefile, meta)
+	code := run(*exp, *full, *metrics, *workers, *jsonPath, *baseline, *cpuprofile, *memprofile, *tracefile, meta)
 	if sigCtx.Err() != nil {
 		// The run was interrupted; the documented cancellation code
 		// wins over whatever partial results produced.
@@ -168,8 +165,7 @@ func writeStats(path string, col *telemetry.Collector) error {
 }
 
 // workerCounts expands the -workers cap into the doubling sweep P9
-// runs: 1, 2, 4, ..., max. Zero keeps P9's default. The -shards cap
-// expands identically for P12's shard sweep.
+// runs: 1, 2, 4, ..., max. Zero keeps P9's default.
 func workerCounts(max int) []int {
 	if max <= 0 {
 		return nil
@@ -182,7 +178,7 @@ func workerCounts(max int) []int {
 }
 
 // runOne resolves one experiment id at the requested size.
-func runOne(id string, full bool, workers, shards int) (experiments.Report, bool) {
+func runOne(id string, full bool, workers int) (experiments.Report, bool) {
 	id = strings.ToUpper(strings.TrimSpace(id))
 	if full {
 		switch id {
@@ -206,8 +202,6 @@ func runOne(id string, full bool, workers, shards int) (experiments.Report, bool
 			return experiments.P10(4000), true
 		case "P11":
 			return experiments.P11(2000), true
-		case "P12":
-			return experiments.P12(workerCounts(shards), 4000), true
 		case "P13":
 			return experiments.P13(4000), true
 		}
@@ -215,13 +209,10 @@ func runOne(id string, full bool, workers, shards int) (experiments.Report, bool
 	if id == "P9" {
 		return experiments.P9(workerCounts(workers), 0), true
 	}
-	if id == "P12" && shards > 0 {
-		return experiments.P12(workerCounts(shards), 0), true
-	}
 	return experiments.ByID(id)
 }
 
-func run(exp string, full, metrics bool, workers, shards int, jsonPath, baseline, cpuprofile, memprofile, tracefile string, meta benchMeta) int {
+func run(exp string, full, metrics bool, workers int, jsonPath, baseline, cpuprofile, memprofile, tracefile string, meta benchMeta) int {
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
@@ -264,7 +255,7 @@ func run(exp string, full, metrics bool, workers, shards int, jsonPath, baseline
 	var reports []experiments.Report
 	if exp != "" {
 		for _, id := range strings.Split(exp, ",") {
-			r, ok := runOne(id, full, workers, shards)
+			r, ok := runOne(id, full, workers)
 			if !ok {
 				fmt.Fprintf(os.Stderr, "mobench: unknown experiment %q (try -list)\n", strings.TrimSpace(id))
 				return 2
@@ -276,8 +267,8 @@ func run(exp string, full, metrics bool, workers, shards int, jsonPath, baseline
 			experiments.E1(), experiments.E2(), experiments.E3(),
 			experiments.E4(), experiments.E5(), experiments.E6(),
 		}
-		for _, id := range []string{"P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P9", "P10", "P11", "P12", "P13"} {
-			r, _ := runOne(id, true, workers, shards)
+		for _, id := range []string{"P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P9", "P10", "P11", "P13"} {
+			r, _ := runOne(id, true, workers)
 			reports = append(reports, r)
 		}
 	} else {
@@ -318,13 +309,12 @@ func run(exp string, full, metrics bool, workers, shards int, jsonPath, baseline
 
 // benchMeta records the run configuration alongside the reports so a
 // later -baseline comparison can tell apples from oranges: timings
-// measured under different shard counts, grid sizes or time-bucket
+// measured under different worker caps, grid sizes or time-bucket
 // configs drift for configuration reasons, not performance ones.
 type benchMeta struct {
 	GoMaxProcs  int  `json:"gomaxprocs"`
 	Full        bool `json:"full"`
 	Workers     int  `json:"workers"`
-	Shards      int  `json:"shards"`
 	GridCells   int  `json:"grid_cells"`
 	TimeBuckets int  `json:"time_buckets"`
 }
@@ -366,7 +356,6 @@ func warnMetaDrift(path string, old, cur benchMeta) {
 	drift("gomaxprocs", old.GoMaxProcs, cur.GoMaxProcs)
 	drift("full", old.Full, cur.Full)
 	drift("workers", old.Workers, cur.Workers)
-	drift("shards", old.Shards, cur.Shards)
 	drift("grid-cells", old.GridCells, cur.GridCells)
 	drift("time-buckets", old.TimeBuckets, cur.TimeBuckets)
 }
@@ -375,7 +364,7 @@ func warnMetaDrift(path string, old, cur benchMeta) {
 // -json run and this one, matching metrics by (experiment id, metric
 // key). Metrics present on only one side are skipped: they are new or
 // retired, not regressions. When the baseline carries a meta header,
-// every differing config field (shards, grid cells, time buckets, …)
+// every differing config field (workers, grid cells, time buckets, …)
 // is warned about first. When an experiment recorded a "gomaxprocs"
 // metric on both sides and the values differ, its timing and speedup
 // deltas are shown but never flagged: the runs measured different

@@ -12,7 +12,7 @@ import (
 // against a config that was never recorded).
 func TestReadBenchShapes(t *testing.T) {
 	current := []byte(`{
-		"meta": {"gomaxprocs": 8, "full": true, "workers": 4, "shards": 2, "grid_cells": 64, "time_buckets": 16},
+		"meta": {"gomaxprocs": 8, "full": true, "workers": 4, "grid_cells": 64, "time_buckets": 16},
 		"reports": [
 			{"ID": "P2", "Title": "scan", "Pass": true, "Metrics": {"ns_per_op": 123.5}}
 		]
@@ -24,7 +24,7 @@ func TestReadBenchShapes(t *testing.T) {
 	if !hasMeta {
 		t.Error("current shape: hasMeta = false, want true")
 	}
-	if bf.Meta.GoMaxProcs != 8 || bf.Meta.Shards != 2 || !bf.Meta.Full {
+	if bf.Meta.GoMaxProcs != 8 || bf.Meta.Workers != 4 || !bf.Meta.Full {
 		t.Errorf("current shape: meta not preserved: %+v", bf.Meta)
 	}
 	if len(bf.Reports) != 1 || bf.Reports[0].ID != "P2" || bf.Reports[0].Metrics["ns_per_op"] != 123.5 {

@@ -7,7 +7,6 @@
 //
 //	mogisd -addr :8080                    # paper scenario, geofence on Ln
 //	mogisd -city -grid 12 -objects 500    # synthetic city
-//	mogisd -shards 4                      # sharded scatter-gather engine
 //	mogisd -max-in-flight 32 -max-queue 64 -queue-wait 1s
 //	mogisd -query-log queries.jsonl -v
 //
@@ -49,7 +48,6 @@ func run() int {
 	objects := flag.Int("objects", 100, "synthetic moving objects")
 	seed := flag.Int64("seed", 1, "synthetic generator seed")
 	noOverlay := flag.Bool("no-overlay", false, "disable the precomputed overlay (naive geometry)")
-	shards := flag.Int("shards", 0, "partition each MOFT across N shard engines; 0 or 1 = unsharded")
 	geofence := flag.String("geofence-layer", "Ln", "polygon layer watched by /events; empty disables the stream")
 
 	maxInFlight := flag.Int("max-in-flight", 64, "concurrent admitted requests")
@@ -97,7 +95,7 @@ func run() int {
 
 	sys, err := server.NewSystem(server.SystemConfig{
 		City: *useCity, Grid: *grid, Objects: *objects, Seed: *seed,
-		Overlay: !*noOverlay, Shards: *shards, Telemetry: tel,
+		Overlay: !*noOverlay, Telemetry: tel,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mogisd: %v\n", err)

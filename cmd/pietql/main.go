@@ -14,7 +14,6 @@
 //	pietql -query "EXPLAIN ANALYZE SELECT layer.Ln; FROM PietSchema;"
 //	pietql query.pql
 //	pietql -city -grid 8          # synthetic city instead of the paper scenario
-//	pietql -shards 4 -city ...    # sharded scatter-gather engine (bit-identical answers)
 //	pietql -explain-remark1       # trace the paper's Remark 1 query
 //	pietql -metrics -query "..."  # dump Prometheus metrics after the run
 //	pietql -timeout 2s -max-rows 1000000 -query "..."
@@ -92,7 +91,6 @@ func main() {
 	objects := flag.Int("objects", 100, "synthetic moving objects")
 	seed := flag.Int64("seed", 1, "synthetic generator seed")
 	noOverlay := flag.Bool("no-overlay", false, "disable the precomputed overlay (naive geometry)")
-	shards := flag.Int("shards", 0, "partition each MOFT across N shard engines (scatter-gather with a deterministic merge; bit-identical answers); 0 or 1 = unsharded")
 	timeBuckets := flag.Int("time-buckets", 0, "per-cell time buckets of the pre-aggregated sample grid (0 = adaptive, <0 disables the temporal index, n > 0 forces n buckets)")
 	metrics := flag.Bool("metrics", false, "print engine metrics in Prometheus text format on exit")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve the telemetry HTTP pages (/metrics, /debug/stats, /debug/queries, /debug/traces/{id}) on this address; empty disables the listener")
@@ -163,11 +161,6 @@ Flags:
 			os.Exit(4)
 		}
 		os.Exit(1)
-	}
-	if *shards > 1 {
-		// Swap the moving-object engine for a sharded coordinator over
-		// the same model context; answers stay bit-identical.
-		sys.Engine = core.NewSharded(sys.Ctx, *shards)
 	}
 	if *timeBuckets != 0 {
 		if tb, ok := sys.Engine.(interface{ SetTimeBuckets(int) }); ok {

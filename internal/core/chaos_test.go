@@ -31,9 +31,6 @@ func coreSites(w *robustWorkload) map[string]func(ctx context.Context) ([]moft.O
 		faultpoint.CoreGridBuild: func(ctx context.Context) ([]moft.Oid, error) {
 			return w.eng.ObjectsSampledInside(ctx, "FM", w.pg, w.win)
 		},
-		faultpoint.CoreShardPartition: func(ctx context.Context) ([]moft.Oid, error) {
-			return w.sharded.ObjectsPassingThrough(ctx, "FM", w.pg, w.win)
-		},
 	}
 }
 
@@ -61,11 +58,9 @@ func TestChaosMatrix(t *testing.T) {
 	for site, q := range sites {
 		for _, mode := range []faultpoint.Mode{faultpoint.ModeError, faultpoint.ModePanic, faultpoint.ModeDelay} {
 			t.Run(fmt.Sprintf("%s/%s", site, mode), func(t *testing.T) {
-				// Drop caches so build-path sites (lit-build, grid-build,
-				// shard-partition) are traversed again, not skipped via
-				// the latched unit.
+				// Drop caches so build-path sites (lit-build, grid-build)
+				// are traversed again, not skipped via the latched unit.
 				w.eng.ResetCache()
-				w.sharded.ResetCache()
 				before := runtime.NumGoroutine()
 
 				switch mode {

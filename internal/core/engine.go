@@ -92,12 +92,6 @@ type Engine struct {
 	// query windows, n > 0 → n buckets per cell, negative → temporal
 	// index disabled).
 	timeBuckets atomic.Int32
-
-	// isShard marks an engine owned by a ShardedEngine coordinator: its
-	// begin brackets chain to the coordinator's qctl (shared budget
-	// counters, no per-shard telemetry record) and countQuery skips the
-	// per-type counters so a scattered query counts once, not per shard.
-	isShard bool
 }
 
 // New creates an engine over the model context.
@@ -125,15 +119,8 @@ func (e *Engine) SetMetrics(m *obs.Metrics) {
 // metrics returns the engine's current instrument bundle.
 func (e *Engine) metrics() *obs.Metrics { return e.met.Load() }
 
-// countQuery bumps the per-type query counter — once per logical
-// query: shard engines skip it (the coordinator counts the scattered
-// query exactly once).
-func (e *Engine) countQuery(n int) {
-	if e.isShard {
-		return
-	}
-	e.metrics().Query(n).Inc()
-}
+// countQuery bumps the per-type query counter.
+func (e *Engine) countQuery(n int) { e.metrics().Query(n).Inc() }
 
 // SetTelemetry pins the engine's telemetry collector. A nil collector
 // disables recording for this engine even when a process-wide default

@@ -97,78 +97,6 @@ type qctl struct {
 	// (Hi-Lo+1), 0 for untimed queries; reported on the telemetry
 	// record so adaptive time-bucket sizing can observe the workload.
 	window atomic.Int64
-	// parent, when non-nil, is the coordinator-side tracker of the
-	// logical query this qctl is one shard of. Budget limits are
-	// enforced against the parent's counters so MaxRows/MaxResults
-	// bound the whole scattered query, not each shard independently;
-	// the local counters keep per-shard attribution.
-	parent *qctl
-	// shardLoads, on a coordinator-side qctl, receives each shard's
-	// tally when its bracket closes (attachShards allocates it before
-	// the scatter; slots are atomic because shard brackets close on
-	// their own goroutines).
-	shardLoads []shardTally
-}
-
-// shardTally accumulates one shard's contribution to a scattered
-// query. Accumulated, not overwritten: entry points that nest other
-// entry points (ObjectsPossiblyPassingThrough) close several shard
-// brackets per shard.
-type shardTally struct {
-	rows   atomic.Int64
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-// attachShards sizes the per-shard attribution slots. Call once,
-// before any shard goroutine starts.
-func (q *qctl) attachShards(n int) {
-	q.shardLoads = make([]shardTally, n)
-}
-
-// accumulateShard folds a closing shard bracket's local tally into
-// the coordinator's slot for that shard.
-func (q *qctl) accumulateShard(idx int, child *qctl) {
-	if idx < 0 || idx >= len(q.shardLoads) {
-		return
-	}
-	s := &q.shardLoads[idx]
-	s.rows.Add(child.rows.Load())
-	s.hits.Add(child.cacheHits.Load())
-	s.misses.Add(child.cacheMisses.Load())
-}
-
-// shardSnapshot renders the per-shard attribution for the telemetry
-// record (nil when the query never scattered).
-func (q *qctl) shardSnapshot() []telemetry.ShardLoad {
-	if len(q.shardLoads) == 0 {
-		return nil
-	}
-	out := make([]telemetry.ShardLoad, len(q.shardLoads))
-	for i := range q.shardLoads {
-		s := &q.shardLoads[i]
-		out[i] = telemetry.ShardLoad{
-			Shard:       i,
-			RowsScanned: s.rows.Load(),
-			CacheHits:   s.hits.Load(),
-			CacheMisses: s.misses.Load(),
-		}
-	}
-	return out
-}
-
-// shardCallKey marks a context as one shard's slice of a scattered
-// query: the shard engine's begin chains its qctl to the
-// coordinator's instead of opening an independent bracket.
-type shardCallKey struct{}
-
-type shardCall struct {
-	parent *qctl
-	idx    int
-}
-
-func withShardCall(ctx context.Context, parent *qctl, idx int) context.Context {
-	return context.WithValue(ctx, shardCallKey{}, shardCall{parent: parent, idx: idx})
 }
 
 // cacheHit tallies one engine cache lookup (LIT cache, interval
@@ -179,29 +107,18 @@ func (q *qctl) cacheHit(hit bool) {
 	}
 	if hit {
 		q.cacheHits.Add(1)
-		if q.parent != nil {
-			q.parent.cacheHits.Add(1)
-		}
 	} else {
 		q.cacheMisses.Add(1)
-		if q.parent != nil {
-			q.parent.cacheMisses.Add(1)
-		}
 	}
 }
 
 // noteWindow records the width of the query's closed time interval on
-// the tracker (and, for a shard slice, on the logical query's
-// tracker). Inverted intervals record nothing. Nil-safe.
+// the tracker. Inverted intervals record nothing. Nil-safe.
 func (q *qctl) noteWindow(iv timedim.Interval) {
 	if q == nil || iv.Hi < iv.Lo {
 		return
 	}
-	w := int64(iv.Hi-iv.Lo) + 1
-	q.window.Store(w)
-	if q.parent != nil {
-		q.parent.window.Store(w)
-	}
+	q.window.Store(int64(iv.Hi-iv.Lo) + 1)
 }
 
 // step is the bare cooperative checkpoint: cancellation only.
@@ -219,9 +136,6 @@ func (q *qctl) addRows(ctx context.Context, n int64) error {
 		return nil
 	}
 	used := q.rows.Add(n)
-	if q.parent != nil {
-		used = q.parent.rows.Add(n)
-	}
 	if max := q.budget.MaxRows; max > 0 && used > max {
 		return &BudgetError{Resource: "rows", Limit: max, Used: used}
 	}
@@ -234,9 +148,6 @@ func (q *qctl) addResults(n int64) error {
 		return nil
 	}
 	used := q.results.Add(n)
-	if q.parent != nil {
-		used = q.parent.results.Add(n)
-	}
 	if max := q.budget.MaxResults; max > 0 && used > max {
 		return &BudgetError{Resource: "results", Limit: max, Used: used}
 	}
@@ -256,11 +167,6 @@ func (q *qctl) addResults(n int64) error {
 func (e *Engine) begin(ctx context.Context, op, table string) (*qctl, context.Context, func(*error)) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if e.isShard {
-		if sc, ok := ctx.Value(shardCallKey{}).(shardCall); ok {
-			return beginShard(ctx, sc)
-		}
 	}
 	b, _ := BudgetFrom(ctx)
 	cancel := func() {}
@@ -290,7 +196,6 @@ func (e *Engine) begin(ctx context.Context, op, table string) (*qctl, context.Co
 				Results:     qc.results.Load(),
 				CacheHits:   qc.cacheHits.Load(),
 				CacheMisses: qc.cacheMisses.Load(),
-				Shards:      qc.shardSnapshot(),
 				Window:      qc.window.Load(),
 			}
 			if *errp != nil {
@@ -298,26 +203,6 @@ func (e *Engine) begin(ctx context.Context, op, table string) (*qctl, context.Co
 			}
 			tel.Record(rec)
 		}
-	}
-	return qc, ctx, done
-}
-
-// beginShard opens the lightweight bracket a shard engine uses when
-// its entry point is one slice of a scattered query: the qctl chains
-// to the coordinator's (budgets enforced against the logical query's
-// shared counters), no deadline is re-applied (the coordinator's
-// bracket already did), and done neither classifies the outcome nor
-// records telemetry — the coordinator's bracket does both exactly
-// once per logical query — but still recovers panics so one shard
-// blowing up surfaces as a typed error, and folds the shard's tally
-// into the coordinator's attribution slot.
-func beginShard(ctx context.Context, sc shardCall) (*qctl, context.Context, func(*error)) {
-	qc := &qctl{budget: sc.parent.budget, parent: sc.parent}
-	done := func(errp *error) {
-		if v := recover(); v != nil {
-			*errp = qerr.NewPanic("core/query", v)
-		}
-		sc.parent.accumulateShard(sc.idx, qc)
 	}
 	return qc, ctx, done
 }

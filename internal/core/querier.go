@@ -15,12 +15,11 @@ import (
 	"mogis/internal/traj"
 )
 
-// Querier is the engine surface shared by the unsharded Engine and
-// the ShardedEngine coordinator: the 17 query entry points plus the
-// configuration and cache-lifecycle knobs callers (pietql, the
-// benchmarks, the experiments) need. The two implementations answer
-// every query bit-identically — that identity is gated by the P12
-// experiment and the sharded determinism tests.
+// Querier is the engine surface callers program against: the 17 query
+// entry points plus the configuration and cache-lifecycle knobs that
+// pietql, the server, the benchmarks and the experiments need. *Engine
+// implements it; callers that wrap the engine (tracing, test doubles)
+// embed the interface rather than the concrete type.
 type Querier interface {
 	// Model context and configuration.
 	Context() *fo.Context
@@ -67,7 +66,4 @@ type Querier interface {
 	TrajectoryAggregate(ctx context.Context, table string, oid moft.Oid) (TrajectoryStats, error)
 }
 
-var (
-	_ Querier = (*Engine)(nil)
-	_ Querier = (*ShardedEngine)(nil)
-)
+var _ Querier = (*Engine)(nil)

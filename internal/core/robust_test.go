@@ -20,16 +20,13 @@ import (
 // and enough objects (64 > serialThreshold) to exercise the parallel
 // fan-out, plus the query shapes the robustness tests reuse.
 type robustWorkload struct {
-	eng *core.Engine
-	// sharded is a 3-shard coordinator over the same model context,
-	// for the chaos cells and robustness tests of the scatter path.
-	sharded *core.ShardedEngine
-	met     *obs.Metrics
-	pg      geom.Polygon
-	center  geom.Point
-	radius  float64
-	win     timedim.Interval
-	mid     timedim.Instant
+	eng    *core.Engine
+	met    *obs.Metrics
+	pg     geom.Polygon
+	center geom.Point
+	radius float64
+	win    timedim.Interval
+	mid    timedim.Instant
 }
 
 func newRobustWorkload(t *testing.T) *robustWorkload {
@@ -40,14 +37,12 @@ func newRobustWorkload(t *testing.T) *robustWorkload {
 	_, eng := city.Context(fm)
 	met := obs.NewMetrics(obs.NewRegistry())
 	eng.SetMetrics(met)
-	sharded := core.NewSharded(eng.Context(), 3)
-	sharded.SetMetrics(met)
 	pg, ok := city.Ln.Polygon(1)
 	if !ok {
 		t.Fatal("city has no neighborhood polygon 1")
 	}
 	return &robustWorkload{
-		eng: eng, sharded: sharded, met: met, pg: pg,
+		eng: eng, met: met, pg: pg,
 		center: geom.Pt(city.Extent.MinX+city.Extent.Width()/2, city.Extent.MinY+city.Extent.Height()/2),
 		radius: city.Extent.Width() / 4,
 		win:    timedim.Interval{Lo: lo, Hi: hi},

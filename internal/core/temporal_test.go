@@ -11,7 +11,6 @@ import (
 	"mogis/internal/core"
 	"mogis/internal/geom"
 	"mogis/internal/moft"
-	"mogis/internal/obs"
 	"mogis/internal/timedim"
 )
 
@@ -56,13 +55,13 @@ func randomQueryWindow(rng *rand.Rand, lo, hi timedim.Instant) timedim.Interval 
 	}
 }
 
-// TestTemporalShardedFuzz fuzzes region×interval queries through the
-// engine across time-bucket configs (forced 1/16/256, adaptive,
-// disabled) and shard counts (1/2/3): every CountSamplesInside /
-// ObjectsSampledInside / ObjectsPassingThrough answer must be
-// reflect.DeepEqual to the unsharded scan-path oracle.
-func TestTemporalShardedFuzz(t *testing.T) {
-	w, fm := newShardedFixture(t, 21)
+// TestTemporalFuzz fuzzes region×interval queries through the engine
+// across time-bucket configs (forced 1/16/256, adaptive, disabled):
+// every CountSamplesInside / ObjectsSampledInside /
+// ObjectsPassingThrough answer must be reflect.DeepEqual to the
+// scan-path oracle.
+func TestTemporalFuzz(t *testing.T) {
+	w, fm := newFuzzFixture(t, 21)
 	lo, hi, _ := fm.TimeSpan()
 	rng := rand.New(rand.NewSource(33))
 
@@ -115,23 +114,10 @@ func TestTemporalShardedFuzz(t *testing.T) {
 		w.eng.ResetCache()
 		got, err := run(w.eng)
 		if err != nil {
-			t.Fatalf("buckets %d unsharded: %v", buckets, err)
+			t.Fatalf("buckets %d: %v", buckets, err)
 		}
 		if !reflect.DeepEqual(got, oracle) {
-			t.Errorf("buckets %d unsharded diverged from scan oracle", buckets)
-		}
-		for _, shards := range []int{1, 2, 3} {
-			se := core.NewSharded(w.eng.Context(), shards)
-			se.SetMetrics(w.met)
-			se.SetAggGrid(0)
-			se.SetTimeBuckets(buckets)
-			got, err := run(se)
-			if err != nil {
-				t.Fatalf("buckets %d shards %d: %v", buckets, shards, err)
-			}
-			if !reflect.DeepEqual(got, oracle) {
-				t.Errorf("buckets %d shards %d diverged from scan oracle", buckets, shards)
-			}
+			t.Errorf("buckets %d diverged from scan oracle", buckets)
 		}
 	}
 	w.eng.SetTimeBuckets(0)
@@ -142,7 +128,7 @@ func TestTemporalShardedFuzz(t *testing.T) {
 // bit-identity gate must hold on the temporal-index paths (zero
 // AggGridMismatches) while the index is demonstrably used.
 func TestTemporalVerifyMode(t *testing.T) {
-	w, fm := newShardedFixture(t, 55)
+	w, fm := newFuzzFixture(t, 55)
 	lo, hi, _ := fm.TimeSpan()
 	rng := rand.New(rand.NewSource(56))
 	w.eng.SetGridVerify(true)
@@ -173,7 +159,7 @@ func TestTemporalVerifyMode(t *testing.T) {
 // answers empty without building trajectories, counts an
 // AggGridTimeSkips, and verify mode agrees with the full path.
 func TestTemporalPrefilterPassingThrough(t *testing.T) {
-	w, fm := newShardedFixture(t, 77)
+	w, fm := newFuzzFixture(t, 77)
 	_, hi, _ := fm.TimeSpan()
 	off := timedim.Interval{Lo: hi + 100, Hi: hi + 200}
 
@@ -214,34 +200,5 @@ func TestTemporalPrefilterPassingThrough(t *testing.T) {
 	}
 	if d := w.met.AggGridTimeSkips.Value() - before; d != 0 {
 		t.Errorf("prefilter engaged with the grid disabled (delta %d)", d)
-	}
-}
-
-// TestShardedSetTimeBucketsFanOut: the coordinator knob must reach the
-// global engine and every shard — after disabling the index fleet-wide,
-// no shard answers through it; after re-enabling, they do.
-func TestShardedSetTimeBucketsFanOut(t *testing.T) {
-	w, fm := newShardedFixture(t, 91)
-	lo, hi, _ := fm.TimeSpan()
-	narrow := timedim.Interval{Lo: lo + (hi-lo)/3, Hi: lo + (hi-lo)/2}
-	se := core.NewSharded(w.eng.Context(), 3)
-	met := obs.NewMetrics(obs.NewRegistry())
-	se.SetMetrics(met)
-
-	se.SetTimeBuckets(-1)
-	if _, err := se.CountSamplesInside(context.Background(), "FM", w.pg, narrow); err != nil {
-		t.Fatal(err)
-	}
-	if n := met.AggGridTemporalQueries.Value(); n != 0 {
-		t.Fatalf("temporal index answered %d queries after SetTimeBuckets(-1) fan-out", n)
-	}
-
-	se.SetTimeBuckets(0)
-	se.ResetCache()
-	if _, err := se.CountSamplesInside(context.Background(), "FM", w.pg, narrow); err != nil {
-		t.Fatal(err)
-	}
-	if met.AggGridTemporalQueries.Value() == 0 {
-		t.Fatal("temporal index never engaged after re-enabling fleet-wide")
 	}
 }

@@ -31,12 +31,6 @@ type PossiblyResult struct {
 	Possible []moft.Oid
 }
 
-// errSpeedFactor is shared by the sharded coordinator so both engines
-// reject an invalid speed factor with the identical error.
-func errSpeedFactor(f float64) error {
-	return fmt.Errorf("core: speed factor must be ≥ 1, got %g", f)
-}
-
 // ObjectsPossiblyPassingThrough stratifies the objects of a table by
 // their relation to polygon pg during iv: definitely inside (sampled),
 // likely inside (interpolated crossing), or possibly inside (lifeline
@@ -46,7 +40,7 @@ func (e *Engine) ObjectsPossiblyPassingThrough(ctx context.Context, table string
 	defer done(&err)
 	qc.noteWindow(iv)
 	if speedFactor < 1 {
-		return PossiblyResult{}, errSpeedFactor(speedFactor)
+		return PossiblyResult{}, fmt.Errorf("core: speed factor must be ≥ 1, got %g", speedFactor)
 	}
 	lits, err := e.Trajectories(ctx, table)
 	if err != nil {

@@ -785,7 +785,7 @@ func P8(iters int) Report {
 func All() []Report {
 	return []Report{
 		E1(), E2(), E3(), E4(), E5(), E6(),
-		P1(nil, 0), P2(), P3(nil), P4(nil, 0), P5(nil), P6(nil, 0), P7(nil), P8(0), P9(nil, 0), P10(0), P11(0), P12(nil, 0), P13(0),
+		P1(nil, 0), P2(), P3(nil), P4(nil, 0), P5(nil), P6(nil, 0), P7(nil), P8(0), P9(nil, 0), P10(0), P11(0), P13(0),
 		A1(),
 	}
 }
@@ -827,8 +827,6 @@ func ByID(id string) (Report, bool) {
 		return P10(0), true
 	case "P11":
 		return P11(0), true
-	case "P12":
-		return P12(nil, 0), true
 	case "P13":
 		return P13(0), true
 	case "A1":
@@ -840,7 +838,7 @@ func ByID(id string) (Report, bool) {
 
 // IDs lists the experiment identifiers in run order.
 func IDs() []string {
-	ids := []string{"A1", "E1", "E2", "E3", "E4", "E5", "E6", "P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P9", "P10", "P11", "P12", "P13"}
+	ids := []string{"A1", "E1", "E2", "E3", "E4", "E5", "E6", "P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P9", "P10", "P11", "P13"}
 	sort.Strings(ids)
 	return ids
 }

@@ -63,7 +63,7 @@ func TestByID(t *testing.T) {
 	if _, ok := ByID("Z9"); ok {
 		t.Error("unknown id accepted")
 	}
-	if len(IDs()) != 20 {
+	if len(IDs()) != 19 {
 		t.Errorf("IDs = %v", IDs())
 	}
 }

@@ -32,9 +32,6 @@ const (
 	// CoreIntervalInsert fires just before a computed interval set
 	// would be inserted into the interval cache.
 	CoreIntervalInsert = "core/interval-insert"
-	// CoreShardPartition fires inside the sharded engine's per-table
-	// partition build, before any shard receives its slice.
-	CoreShardPartition = "core/shard-partition"
 	// OverlayPair fires inside each overlay pair precomputation.
 	OverlayPair = "overlay/pair"
 	// ServerAccept fires in the mogisd listener's accept path, before
@@ -61,7 +58,6 @@ func Catalog() []string {
 		CoreFanoutChunk,
 		CorePrefilter,
 		CoreIntervalInsert,
-		CoreShardPartition,
 		OverlayPair,
 		ServerAccept,
 		ServerWrite,

@@ -89,8 +89,7 @@ func TestArmOnceDisarmsItself(t *testing.T) {
 func TestCatalogCoversConstants(t *testing.T) {
 	want := map[string]bool{
 		CoreLITBuild: true, CoreGridBuild: true, CoreFanoutChunk: true,
-		CorePrefilter: true, CoreIntervalInsert: true,
-		CoreShardPartition: true, OverlayPair: true,
+		CorePrefilter: true, CoreIntervalInsert: true, OverlayPair: true,
 		ServerAccept: true, ServerWrite: true,
 		ServerSubscriber: true, ServerShutdown: true,
 	}

@@ -26,8 +26,8 @@ type ConceptBinding struct {
 // the GIS dimension (layers, α, geometric rollups), and the concept
 // bindings for application attributes.
 type Context struct {
-	// tmu guards tables (and the lits entries AddTable drops): shard
-	// coordinators repartition tables while queries resolve them.
+	// tmu guards tables (and the lits entries AddTable drops): the
+	// server re-registers a table on ingest while queries resolve it.
 	tmu      sync.RWMutex
 	tables   map[string]*moft.Table
 	gisDim   *gis.Dimension
@@ -80,22 +80,6 @@ func (c *Context) TableNames() []string {
 	c.tmu.RUnlock()
 	sort.Strings(names)
 	return names
-}
-
-// Derive creates an empty sibling context sharing the GIS dimension
-// and concept bindings but owning its own (initially empty) table map.
-// Shard engines evaluate against derived contexts holding only their
-// partition of each MOFT.
-func (c *Context) Derive() *Context {
-	d := &Context{
-		tables:   make(map[string]*moft.Table),
-		gisDim:   c.gisDim,
-		concepts: make(map[string]ConceptBinding),
-	}
-	for name, b := range c.concepts {
-		d.concepts[name] = b
-	}
-	return d
 }
 
 // GIS returns the GIS dimension instance.

@@ -21,7 +21,7 @@ const budgetStrideCap = 1024
 // bracket at the entry point and threaded down, so its presence marks
 // the governed paths, and index builders or loaders that legitimately
 // scan without a budget stay exempt. Within such functions (including
-// their closures — scatter workers capture qc), a loop counts as a
+// their closures — fan-out workers capture qc), a loop counts as a
 // row scan when it touches moft.Columns, or ranges over moft.Oid
 // candidates or moft.Tuple rows. The loop passes when at least one
 // qctl check (step, addRows, addResults) inside it is unconditional,

@@ -4,11 +4,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // AnalyzerCacheInvalidate enforces the every-mutation-invalidates-
-// derived-state contract in its three forms:
+// derived-state contract in its two forms:
 //
 //  1. Inside a package defining a snapshot-bearing table (a struct
 //     with an atomic.Pointer snapshot field, like moft.Table's
@@ -23,22 +22,6 @@ import (
 //     R-tree, interval cache and sample grid built over the old rows.
 //     Mutations before the engine exists are fine — the caches build
 //     lazily on first query.
-//  3. Inside a package defining a shard coordinator (a struct with a
-//     slice-of-engine field, like core.ShardedEngine's shards): a
-//     method may only call InvalidateTrajectories or ResetCache on an
-//     indexed element of that slice from inside a loop that walks the
-//     whole slice. Clearing one shard's caches while its siblings keep
-//     stale trajectories splits the fleet — invalidation must fan out
-//     through the coordinator.
-//  4. A coordinator that also caches derived per-table state in a map
-//     field (like core.ShardedEngine's partition map, which carries
-//     the per-shard time spans behind interval-time pruning and the
-//     grids' temporal indexes): every exported method that fans
-//     InvalidateTrajectories/ResetCache across the fleet must also
-//     clear each map field — by deleting from it, reassigning it, or
-//     calling a method of the type that does. Invalidating the shards
-//     while keeping the coordinator's derived map lets stale partition
-//     state (time spans, cached units) outlive the data it described.
 var AnalyzerCacheInvalidate = &Analyzer{
 	Name: "cacheinvalidate",
 	Doc:  "table mutations must clear snapshots / invalidate engine caches",
@@ -50,8 +33,6 @@ func runCacheInvalidate(pkgs []*Package) []Finding {
 	for _, p := range pkgs {
 		out = append(out, checkSnapshotClearing(p)...)
 		out = append(out, checkEngineInvalidation(p)...)
-		out = append(out, checkShardFanOut(p)...)
-		out = append(out, checkCoordinatorMapClear(p)...)
 	}
 	return out
 }
@@ -357,288 +338,6 @@ func checkEngineInvalidation(p *Package) []Finding {
 				if lastInvalidate == token.NoPos || lastInvalidate < m.Pos() {
 					out = append(out, p.finding("cacheinvalidate", m,
 						"table mutated after an engine is in scope without a later InvalidateTrajectories/ResetCache; cached trajectories, prefilter, intervals and grid go stale"))
-				}
-			}
-		}
-	}
-	return out
-}
-
-// --- rule 3: shard-fleet invalidation fan-out -------------------------
-
-// collectShardStructs finds the package's shard coordinators: structs
-// with a field holding a slice of engines ([]*Engine, []*core.Engine,
-// or any []*XxxEngine shard fleet). Returns struct name → set of shard
-// field names.
-func collectShardStructs(p *Package) map[string]map[string]bool {
-	isEngineElem := func(t types.Type) bool {
-		n := namedType(t)
-		return n != nil && strings.HasSuffix(n.Obj().Name(), "Engine")
-	}
-	out := map[string]map[string]bool{}
-	structFields(p, func(name *ast.Ident, st *ast.StructType) {
-		for _, fld := range st.Fields.List {
-			t := p.typeOf(fld.Type)
-			if t == nil {
-				continue
-			}
-			sl, ok := t.Underlying().(*types.Slice)
-			if !ok || !isEngineElem(sl.Elem()) {
-				continue
-			}
-			for _, fname := range fld.Names {
-				if out[name.Name] == nil {
-					out[name.Name] = map[string]bool{}
-				}
-				out[name.Name][fname.Name] = true
-			}
-		}
-	})
-	return out
-}
-
-// shardSliceExpr reports whether e is recv.<field> for one of the
-// struct's shard-fleet fields, returning the field name.
-func shardSliceExpr(e ast.Expr, recv *ast.Object, fields map[string]bool) (string, bool) {
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok || !fields[sel.Sel.Name] {
-		return "", false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok || id.Obj != recv {
-		return "", false
-	}
-	return sel.Sel.Name, true
-}
-
-// checkShardFanOut applies rule 3: within a shard coordinator's
-// methods, an InvalidateTrajectories/ResetCache call on an indexed
-// shard (recv.shards[i].ResetCache()) is only legal when the index is
-// the key variable of an enclosing `for i := range recv.shards` loop —
-// i.e. when the method is fanning the clear across the whole fleet.
-// Range-over-element loops (for _, sh := range recv.shards) never
-// index and stay silent by construction.
-func checkShardFanOut(p *Package) []Finding {
-	shardStructs := collectShardStructs(p)
-	if len(shardStructs) == 0 {
-		return nil
-	}
-	var out []Finding
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			recvType, _ := recvTypeName(fd)
-			fields := shardStructs[recvType]
-			if fields == nil {
-				continue
-			}
-			recv := recvIdent(fd)
-			if recv == nil {
-				continue
-			}
-			// Index variables that walk the full fleet: the key of a
-			// `for i := range recv.<shardField>` statement.
-			fanKeys := map[*ast.Object]bool{}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				rs, ok := n.(*ast.RangeStmt)
-				if !ok {
-					return true
-				}
-				if _, ok := shardSliceExpr(rs.X, recv, fields); !ok {
-					return true
-				}
-				if key, ok := rs.Key.(*ast.Ident); ok && key.Obj != nil {
-					fanKeys[key.Obj] = true
-				}
-				return true
-			})
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				switch sel.Sel.Name {
-				case "InvalidateTrajectories", "ResetCache":
-				default:
-					return true
-				}
-				ix, ok := sel.X.(*ast.IndexExpr)
-				if !ok {
-					return true
-				}
-				field, ok := shardSliceExpr(ix.X, recv, fields)
-				if !ok {
-					return true
-				}
-				if id, ok := ix.Index.(*ast.Ident); ok && id.Obj != nil && fanKeys[id.Obj] {
-					return true // full fan-out via range key
-				}
-				out = append(out, p.finding("cacheinvalidate", call,
-					"%s on a single indexed shard of %s.%s; invalidation must fan out over every shard (range the fleet), or siblings keep stale caches",
-					sel.Sel.Name, recvType, field))
-				return true
-			})
-		}
-	}
-	return out
-}
-
-// --- rule 4: coordinator derived-map clearing -------------------------
-
-// collectMapFields returns struct name -> map-typed field names in
-// declaration order for every struct of the package.
-func collectMapFields(p *Package) map[string][]string {
-	out := map[string][]string{}
-	structFields(p, func(name *ast.Ident, st *ast.StructType) {
-		for _, fld := range st.Fields.List {
-			t := p.typeOf(fld.Type)
-			if t == nil {
-				continue
-			}
-			if _, ok := t.Underlying().(*types.Map); !ok {
-				continue
-			}
-			for _, fname := range fld.Names {
-				out[name.Name] = append(out[name.Name], fname.Name)
-			}
-		}
-	})
-	return out
-}
-
-// fansInvalidation reports whether the body ranges a shard-fleet field
-// of recv and calls InvalidateTrajectories/ResetCache inside the loop,
-// i.e. the method is an invalidation fan-out across the fleet.
-func fansInvalidation(fd *ast.FuncDecl, recv *ast.Object, fields map[string]bool) bool {
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		rs, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		if _, ok := shardSliceExpr(rs.X, recv, fields); !ok {
-			return true
-		}
-		ast.Inspect(rs.Body, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				switch sel.Sel.Name {
-				case "InvalidateTrajectories", "ResetCache":
-					found = true
-					return false
-				}
-			}
-			return true
-		})
-		return !found
-	})
-	return found
-}
-
-// clearsMapField reports whether the body deletes from or reassigns
-// recv.<field>, or (when methods is non-nil) calls a method on recv
-// that does (one level).
-func clearsMapField(fd *ast.FuncDecl, recv *ast.Object, field string, methods map[string]*ast.FuncDecl) bool {
-	if recv == nil {
-		return false
-	}
-	isRecvMap := func(e ast.Expr) bool {
-		sel, ok := e.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != field {
-			return false
-		}
-		id, ok := sel.X.(*ast.Ident)
-		return ok && id.Obj == recv
-	}
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range v.Lhs {
-				if isRecvMap(lhs) {
-					found = true
-					return false
-				}
-			}
-		case *ast.CallExpr:
-			// delete(recv.field, key)
-			if id, ok := v.Fun.(*ast.Ident); ok && id.Name == "delete" && len(v.Args) == 2 && isRecvMap(v.Args[0]) {
-				found = true
-				return false
-			}
-			// recv.other() where other clears the map (one level).
-			if methods != nil {
-				if sel, ok := v.Fun.(*ast.SelectorExpr); ok {
-					if rid, ok := sel.X.(*ast.Ident); ok && rid.Obj == recv {
-						if callee, ok := methods[sel.Sel.Name]; ok && callee != fd {
-							if clearsMapField(callee, recvIdent(callee), field, nil) {
-								found = true
-								return false
-							}
-						}
-					}
-				}
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// checkCoordinatorMapClear applies rule 4: on a shard coordinator that
-// also holds derived per-table state in map fields (e.g. a partition
-// map carrying the per-shard time spans behind interval-time pruning),
-// every exported method that fans InvalidateTrajectories/ResetCache
-// across the fleet must also clear each map field, or the derived
-// state outlives the data it described.
-func checkCoordinatorMapClear(p *Package) []Finding {
-	shardStructs := collectShardStructs(p)
-	if len(shardStructs) == 0 {
-		return nil
-	}
-	mapFields := collectMapFields(p)
-	var out []Finding
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !fd.Name.IsExported() {
-				continue
-			}
-			recvType, _ := recvTypeName(fd)
-			fields := shardStructs[recvType]
-			maps := mapFields[recvType]
-			if fields == nil || len(maps) == 0 {
-				continue
-			}
-			recv := recvIdent(fd)
-			if recv == nil {
-				continue
-			}
-			if !fansInvalidation(fd, recv, fields) {
-				continue
-			}
-			methods := methodIndex(p, recvType)
-			for _, mf := range maps {
-				if !clearsMapField(fd, recv, mf, methods) {
-					out = append(out, p.finding("cacheinvalidate", fd.Name,
-						"exported method %s.%s fans invalidation over the shard fleet but never clears derived map field %s; stale partition state outlives the shards' caches",
-						recvType, fd.Name.Name, mf))
 				}
 			}
 		}

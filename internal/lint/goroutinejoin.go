@@ -9,7 +9,7 @@ import (
 // must show one of the accepted join/cancellation disciplines somewhere
 // in the spawned expression:
 //
-//   - a sync.WaitGroup (the spawner Waits for it: scatter workers);
+//   - a sync.WaitGroup (the spawner Waits for it: fan-out workers);
 //   - a channel-typed value (the spawner joins by receiving the
 //     result or closing the work feed: pipeline stages);
 //   - a context.Context (cancellation reaches the worker even if the

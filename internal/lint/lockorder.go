@@ -6,13 +6,13 @@ import (
 	"sort"
 )
 
-// AnalyzerLockOrder guards the two classic mutex failure modes in the
-// sharded engine's hot path:
+// AnalyzerLockOrder guards the two classic mutex failure modes on the
+// engine's and server's concurrent paths:
 //
 //  1. a sync.Mutex / sync.RWMutex held across a blocking operation — a
 //     channel send or receive, a select without a default clause, or a
-//     sync.WaitGroup.Wait — which turns shard fan-in stalls into
-//     whole-engine stalls (and deadlocks outright when the blocked
+//     sync.WaitGroup.Wait — which turns one worker's fan-in stall into
+//     a whole-engine stall (and deadlocks outright when the blocked
 //     goroutine is the one that would unblock the channel);
 //  2. two locks acquired in opposite orders at different sites, the
 //     precondition for an ABBA deadlock.

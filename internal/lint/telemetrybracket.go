@@ -4,21 +4,18 @@ import (
 	"go/ast"
 )
 
-// AnalyzerTelemetryBracket enforces the PR 6 contract: every exported
-// Querier method on an Engine or ShardedEngine receiver — exported,
-// context first, error last — runs the telemetry begin/done bracket
-// exactly once on every return path:
+// AnalyzerTelemetryBracket enforces the telemetry contract: every
+// exported Querier method on an Engine receiver — exported, context
+// first, error last — runs the telemetry begin/done bracket exactly
+// once on every return path:
 //
-//   - the method's body opens with `qc, ctx, done := recv.begin(...)`
-//     (ShardedEngine's scattered methods bracket through se.global);
+//   - the method's body opens with `qc, ctx, done := recv.begin(...)`;
 //   - `defer done(&err)` is registered in the same basic block — before
 //     any branch, loop or return can leave the method — and &err names
 //     the method's named error result, so the classifier observes the
 //     real outcome;
 //   - the begin call dominates every exit and does not sit on a cycle,
 //     so the bracket cannot run zero or two times;
-//   - a routed method whose whole body is `return recv.global.Same(...)`
-//     delegates the bracket to the inner engine and is exempt;
 //   - `//moglint:nobracket` on the method's doc comment exempts
 //     exported error-returning methods that are not queries.
 //
@@ -32,14 +29,8 @@ var AnalyzerTelemetryBracket = &Analyzer{
 	Run:  runTelemetryBracket,
 }
 
-// bracketReceiverName reports whether a named receiver is one of the
-// engine facades carrying the bracket contract.
-func bracketReceiverName(name string) bool {
-	return name == "Engine" || name == "ShardedEngine"
-}
-
-// isBeginAssign matches `a, b, done := x.begin(...)` (or beginShard),
-// returning the `done` identifier. The receiver must resolve to an
+// isBeginAssign matches `a, b, done := x.begin(...)`, returning the
+// `done` identifier. The receiver must resolve to an
 // Engine-named type so unrelated begin methods stay out of scope.
 func (p *Package) isBeginAssign(s ast.Stmt) (*ast.Ident, bool) {
 	as, ok := s.(*ast.AssignStmt)
@@ -50,16 +41,8 @@ func (p *Package) isBeginAssign(s ast.Stmt) (*ast.Ident, bool) {
 	if !ok {
 		return nil, false
 	}
-	switch fn := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		if fn.Sel.Name != "begin" || !typeNameIs(p.typeOf(fn.X), "Engine") {
-			return nil, false
-		}
-	case *ast.Ident:
-		if fn.Name != "beginShard" {
-			return nil, false
-		}
-	default:
+	fn, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || fn.Sel.Name != "begin" || !typeNameIs(p.typeOf(fn.X), "Engine") {
 		return nil, false
 	}
 	done, ok := as.Lhs[2].(*ast.Ident)
@@ -91,37 +74,15 @@ func isDeferDone(s ast.Stmt, done *ast.Ident) (*ast.Ident, bool) {
 	return id, true
 }
 
-// isDelegation reports whether the body is a pure routed delegation:
-// a single `return <expr>.SameName(args...)` whose callee expression
-// resolves to an Engine-named type.
-func (p *Package) isDelegation(fd *ast.FuncDecl) bool {
-	if len(fd.Body.List) != 1 {
-		return false
-	}
-	ret, ok := fd.Body.List[0].(*ast.ReturnStmt)
-	if !ok || len(ret.Results) != 1 {
-		return false
-	}
-	call, ok := ret.Results[0].(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != fd.Name.Name {
-		return false
-	}
-	return typeNameIs(p.typeOf(sel.X), "Engine")
-}
-
 // querierMethod reports whether fd is in the bracket contract's scope:
-// an exported method on Engine/ShardedEngine taking context first and
+// an exported method on Engine taking context first and
 // returning error last.
 func querierMethod(p *Package, fd *ast.FuncDecl) bool {
 	if fd.Body == nil || !fd.Name.IsExported() {
 		return false
 	}
 	recv := p.receiverType(fd)
-	if recv == nil || !bracketReceiverName(recv.Obj().Name()) {
+	if recv == nil || recv.Obj().Name() != "Engine" {
 		return false
 	}
 	params := fd.Type.Params
@@ -157,10 +118,7 @@ func runTelemetryBracket(pkgs []*Package) []Finding {
 			for _, d := range f.Decls {
 				if fd, ok := d.(*ast.FuncDecl); ok {
 					name, _ := recvTypeName(fd)
-					if fd.Name.Name == "begin" && bracketReceiverName(name) {
-						definesBracket = true
-					}
-					if fd.Name.Name == "beginShard" && fd.Recv == nil {
+					if fd.Name.Name == "begin" && name == "Engine" {
 						definesBracket = true
 					}
 				}
@@ -206,22 +164,14 @@ func checkBracket(p *Package, fd *ast.FuncDecl) []Finding {
 
 	var out []Finding
 	if !inScope {
-		// The bracket definition itself and routed delegations aside,
-		// helpers must not open brackets.
-		if fd.Name.Name == "begin" || fd.Name.Name == "beginShard" {
+		// The bracket definition itself aside, helpers must not open
+		// brackets.
+		if fd.Name.Name == "begin" {
 			return nil
 		}
 		for _, b := range begins {
 			out = append(out, p.finding("telemetrybracket", b.stmt,
 				"telemetry bracket opened in %s, which is not an exported Querier method; the query is double-recorded", fd.Name.Name))
-		}
-		return out
-	}
-
-	if p.isDelegation(fd) {
-		if len(begins) > 0 {
-			out = append(out, p.finding("telemetrybracket", begins[0].stmt,
-				"routed method %s both delegates and opens its own bracket", fd.Name.Name))
 		}
 		return out
 	}

@@ -14,11 +14,6 @@ func (e *Engine) begin(ctx context.Context, op, table string) (*qctl, context.Co
 	return &qctl{}, ctx, func(*error) {}
 }
 
-// ShardedEngine routes through an inner engine.
-type ShardedEngine struct {
-	global *Engine
-}
-
 // Count brackets correctly: begin, then defer done(&err) before any
 // branch, against the named error result.
 func (e *Engine) Count(ctx context.Context, table string) (n int, err error) {
@@ -35,29 +30,6 @@ func (e *Engine) Windowed(ctx context.Context, table string, lo, hi int64) (err 
 	qc.noteWindow(lo, hi)
 	defer done(&err)
 	_ = ctx
-	return nil
-}
-
-// Routed is the per-shard implementation the sharded facade delegates
-// to; it owns the bracket.
-func (e *Engine) Routed(ctx context.Context, table string) (n int, err error) {
-	qc, ctx, done := e.begin(ctx, "routed", table)
-	defer done(&err)
-	_, _ = qc, ctx
-	return 0, nil
-}
-
-// Routed on the sharded facade is a pure delegation; the inner engine
-// records the query exactly once.
-func (se *ShardedEngine) Routed(ctx context.Context, table string) (int, error) {
-	return se.global.Routed(ctx, table)
-}
-
-// Scattered brackets through the inner engine before fanning out.
-func (se *ShardedEngine) Scattered(ctx context.Context, table string) (err error) {
-	qc, ctx, done := se.global.begin(ctx, "scattered", table)
-	defer done(&err)
-	_, _ = qc, ctx
 	return nil
 }
 

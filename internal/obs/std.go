@@ -59,7 +59,6 @@ type Metrics struct {
 	AggGridTemporalQueries *Counter // non-vacuous windows answered via the per-cell temporal index
 	AggGridFringeSamples   *Counter // interior-cell rows examined in fringe time buckets
 	AggGridTimeSkips       *Counter // queries answered empty from the snapshot's time extent
-	ShardTimeSkips         *Counter // scatter shards skipped for a disjoint time extent
 
 	// Overlay precomputation (most recent build).
 	OverlayPairs        *Gauge
@@ -116,7 +115,6 @@ func NewMetrics(r *Registry) *Metrics {
 		AggGridTemporalQueries: r.Counter("mogis_agggrid_temporal_queries_total", "non-vacuous time windows answered via the per-cell temporal index"),
 		AggGridFringeSamples:   r.Counter("mogis_agggrid_fringe_samples_total", "interior-cell rows examined one by one in fringe time buckets"),
 		AggGridTimeSkips:       r.Counter("mogis_agggrid_time_skips_total", "interval queries answered empty because the window misses the snapshot's time extent"),
-		ShardTimeSkips:         r.Counter("mogis_shard_time_skips_total", "scatter shards skipped because their time extent misses the query window"),
 
 		OverlayPairs:        r.Gauge("mogis_overlay_pairs", "layer pairs in the most recent overlay build"),
 		OverlayRelations:    r.Gauge("mogis_overlay_relations", "directed relation entries in the most recent overlay build"),

@@ -38,14 +38,19 @@
 //	WHERE PASSES THROUGH layer.usa_cities
 //	[DURING '2006-01-07 00:00' TO '2006-01-08 00:00']
 //	[SAMPLED ONLY]
+//	[GROUP BY hour|day]
 //
-// It counts the moving objects of the named MOFT whose trajectory
-// (linear interpolation by default, raw samples with SAMPLED ONLY)
-// passes through any geometry the geometric part selected for that
-// layer, optionally restricted to a time window — exactly the
-// evaluation procedure Section 5 describes: "for each object, and
-// for each consecutive pair of points in the moving objects fact
-// table, check if the intersection between the segment defined by
-// these two points and a city in the answer to the geometric part is
-// not empty".
+// COUNT(*) is the only aggregate; the three optional clauses may
+// appear in any order. It counts the moving objects of the named
+// MOFT whose trajectory (linear interpolation by default, raw
+// samples with SAMPLED ONLY) passes through any geometry the
+// geometric part selected for that layer, optionally restricted to
+// a time window — exactly the evaluation procedure Section 5
+// describes: "for each object, and for each consecutive pair of
+// points in the moving objects fact table, check if the intersection
+// between the segment defined by these two points and a city in the
+// answer to the geometric part is not empty". GROUP BY hour (or day,
+// lower case) breaks the count down per Time-dimension bucket — the
+// "per hour" of Remark 1 — counting an object in every bucket its
+// passage overlaps.
 package pietql

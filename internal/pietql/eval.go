@@ -27,9 +27,8 @@ import (
 // cube catalog.
 type System struct {
 	Ctx *fo.Context
-	// Engine answers the moving-object queries: either an unsharded
-	// *core.Engine or a *core.ShardedEngine (pietql -shards) — both
-	// answer bit-identically behind core.Querier.
+	// Engine answers the moving-object queries (a *core.Engine, or a
+	// wrapper around one, behind core.Querier).
 	Engine core.Querier
 	// Kinds maps each Piet-QL-visible layer name to the geometry kind
 	// its variable ranges over.

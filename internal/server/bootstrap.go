@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 
-	"mogis/internal/core"
 	"mogis/internal/layer"
 	"mogis/internal/mdx"
 	"mogis/internal/olap"
@@ -15,8 +14,7 @@ import (
 )
 
 // SystemConfig selects the model a daemon serves: the paper's running
-// example (default) or a generated synthetic city, optionally behind
-// the sharded scatter-gather engine.
+// example (default) or a generated synthetic city.
 type SystemConfig struct {
 	// City switches from the paper scenario (MOFT "FMbus") to a
 	// synthetic city (MOFT "FM") of Grid×Grid blocks with Objects
@@ -28,9 +26,6 @@ type SystemConfig struct {
 	// Overlay precomputes the geometric-predicate overlay (the
 	// pietql default); false falls back to naive geometry.
 	Overlay bool
-	// Shards > 1 swaps the engine for a core.ShardedEngine over the
-	// same model context — answers stay bit-identical.
-	Shards int
 	// Telemetry is handed to the Piet-QL pipeline (nil = default).
 	Telemetry *telemetry.Collector
 }
@@ -92,9 +87,6 @@ func NewSystem(cfg SystemConfig) (*pietql.System, error) {
 			return nil, err
 		}
 		sys.Overlay = ov
-	}
-	if cfg.Shards > 1 {
-		sys.Engine = core.NewSharded(sys.Ctx, cfg.Shards)
 	}
 	return sys, nil
 }

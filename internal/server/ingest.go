@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -86,15 +87,30 @@ func parseIngestLine(text string) (moft.Tuple, error) {
 	if err != nil {
 		return moft.Tuple{}, fmt.Errorf("t: %w", err)
 	}
-	x, err := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
+	x, err := parseCoord("x", parts[2])
 	if err != nil {
-		return moft.Tuple{}, fmt.Errorf("x: %w", err)
+		return moft.Tuple{}, err
 	}
-	y, err := strconv.ParseFloat(strings.TrimSpace(parts[3]), 64)
+	y, err := parseCoord("y", parts[3])
 	if err != nil {
-		return moft.Tuple{}, fmt.Errorf("y: %w", err)
+		return moft.Tuple{}, err
 	}
 	return moft.Tuple{Oid: moft.Oid(oid), T: timedim.Instant(ts), X: x, Y: y}, nil
+}
+
+// parseCoord parses one coordinate, rejecting NaN and ±Inf: a single
+// non-finite position poisons every extent derived from the table (the
+// sample grid, the prefilter, the geofence lookups).
+func parseCoord(name, field string) (float64, error) {
+	field = strings.TrimSpace(field)
+	v, err := strconv.ParseFloat(field, 64)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", name, err)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%s: non-finite coordinate %q", name, field)
+	}
+	return v, nil
 }
 
 // applyIngest installs the batch: build a replacement table from the

@@ -18,9 +18,9 @@
 //     shutdown event, drain in-flight work within DrainBudget, then
 //     hard-close stragglers.
 //
-// Both *core.Engine and *core.ShardedEngine serve behind core.Querier;
-// the server never knows which. Every request produces one telemetry
-// QueryRecord (ops http_query / http_ingest / http_events).
+// The engine serves behind core.Querier, so the server depends only on
+// the query surface. Every request produces one telemetry QueryRecord
+// (ops http_query / http_ingest / http_events).
 package server
 
 import (
@@ -58,8 +58,7 @@ const OutcomeShed = telemetry.Outcome("shed")
 // Config assembles a Server. Zero values select the documented
 // defaults; System is the only required field.
 type Config struct {
-	// System runs the Piet-QL pipeline; its Engine may be a
-	// *core.Engine or a *core.ShardedEngine.
+	// System runs the Piet-QL pipeline and its Engine.
 	System *pietql.System
 	// Telemetry receives one QueryRecord per request; nil falls back
 	// to telemetry.Default().

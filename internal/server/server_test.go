@@ -237,59 +237,48 @@ func TestQueryTextFormat(t *testing.T) {
 }
 
 // TestIngestInvalidatesCaches proves live ingest is visible to
-// queries on both engine shapes: the MO count changes after new
-// trajectory rows arrive, which requires the copy-on-write table swap
-// AND the trajectory-cache invalidation to both work.
+// queries: the MO count changes after new trajectory rows arrive,
+// which requires the copy-on-write table swap AND the
+// trajectory-cache invalidation to both work. The case runs on the
+// one engine shape the system has, under its established subtest name.
 func TestIngestInvalidatesCaches(t *testing.T) {
-	for _, shards := range []int{0, 3} {
-		name := "unsharded"
-		if shards > 1 {
-			name = "sharded"
-		}
-		t.Run(name, func(t *testing.T) {
-			s, _ := newTestServer(t, func(c *Config) {
-				sys, err := NewSystem(SystemConfig{Shards: shards})
-				if err != nil {
-					t.Fatal(err)
-				}
-				c.System = sys
-			})
+	t.Run("unsharded", func(t *testing.T) {
+		s, _ := newTestServer(t, nil)
 
-			count := func() int {
-				w := do(s, "POST", "/query", moQuery, nil)
-				if w.Code != http.StatusOK {
-					t.Fatalf("query: %d %s", w.Code, w.Body.String())
-				}
-				var resp queryResponse
-				if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-					t.Fatal(err)
-				}
-				if !resp.HasMO {
-					t.Fatal("no MO result")
-				}
-				return resp.MOCount
-			}
-
-			before := count()
-			// A brand-new object crossing neighborhood polygons.
-			batch := "9001,10,0.5,0.5\n9001,20,3.5,0.5\n9001,30,3.5,3.5\n"
-			w := do(s, "POST", "/ingest?table=FMbus", batch, nil)
+		count := func() int {
+			w := do(s, "POST", "/query", moQuery, nil)
 			if w.Code != http.StatusOK {
-				t.Fatalf("ingest: %d %s", w.Code, w.Body.String())
+				t.Fatalf("query: %d %s", w.Code, w.Body.String())
 			}
-			var ir ingestResponse
-			if err := json.Unmarshal(w.Body.Bytes(), &ir); err != nil {
+			var resp queryResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 				t.Fatal(err)
 			}
-			if ir.Rows != 3 {
-				t.Errorf("rows = %d, want 3", ir.Rows)
+			if !resp.HasMO {
+				t.Fatal("no MO result")
 			}
-			after := count()
-			if after <= before {
-				t.Errorf("MO count %d -> %d; ingest invisible to queries (stale caches?)", before, after)
-			}
-		})
-	}
+			return resp.MOCount
+		}
+
+		before := count()
+		// A brand-new object crossing neighborhood polygons.
+		batch := "9001,10,0.5,0.5\n9001,20,3.5,0.5\n9001,30,3.5,3.5\n"
+		w := do(s, "POST", "/ingest?table=FMbus", batch, nil)
+		if w.Code != http.StatusOK {
+			t.Fatalf("ingest: %d %s", w.Code, w.Body.String())
+		}
+		var ir ingestResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &ir); err != nil {
+			t.Fatal(err)
+		}
+		if ir.Rows != 3 {
+			t.Errorf("rows = %d, want 3", ir.Rows)
+		}
+		after := count()
+		if after <= before {
+			t.Errorf("MO count %d -> %d; ingest invisible to queries (stale caches?)", before, after)
+		}
+	})
 }
 
 func TestIngestErrors(t *testing.T) {
@@ -311,6 +300,54 @@ func TestIngestErrors(t *testing.T) {
 			}
 			if e := decodeError(t, w); e.Code != tc.code {
 				t.Errorf("code %q, want %q", e.Code, tc.code)
+			}
+		})
+	}
+}
+
+// TestIngestRejectsNonFinite: NaN and ±Inf coordinates (in any spelling
+// strconv accepts) and out-of-range literals are a typed 400 naming the
+// offending line, and the rejected batch leaves no trace — the table
+// is not replaced and the geofence hub publishes nothing, even for the
+// valid rows ahead of the bad one.
+func TestIngestRejectsNonFinite(t *testing.T) {
+	s, _ := newTestServer(t, nil)
+	for _, tc := range []struct{ name, x, y string }{
+		{"NaN x", "NaN", "0.5"},
+		{"lowercase nan y", "0.5", "nan"},
+		{"+Inf x", "+Inf", "0.5"},
+		{"-inf y", "0.5", "-inf"},
+		{"1e400 overflow", "1e400", "0.5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before, err := s.sys.Ctx.Table("FMbus")
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq := s.hub.seq.Load()
+			// Line 1 is valid and would publish an enter event; line 2
+			// carries the bad coordinate.
+			body := "9101,10,0.5,0.5\n9101,20," + tc.x + "," + tc.y + "\n"
+			w := do(s, "POST", "/ingest?table=FMbus", body, nil)
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400: %s", w.Code, w.Body.String())
+			}
+			e := decodeError(t, w)
+			if e.Code != "bad_request" {
+				t.Errorf("code %q, want bad_request", e.Code)
+			}
+			if !strings.Contains(e.Error, "line 2") {
+				t.Errorf("error %q does not name line 2", e.Error)
+			}
+			after, err := s.sys.Ctx.Table("FMbus")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after != before {
+				t.Error("rejected batch replaced the table")
+			}
+			if got := s.hub.seq.Load(); got != seq {
+				t.Errorf("rejected batch published %d geofence events", got-seq)
 			}
 		})
 	}

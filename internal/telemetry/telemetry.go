@@ -73,22 +73,10 @@ type QueryRecord struct {
 	// cache, interval cache) the query performed.
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
-	// Shards attributes the totals above per shard engine when the
-	// query ran on a core.ShardedEngine (nil for unsharded queries
-	// and for queries the coordinator routed to a single engine).
-	Shards []ShardLoad `json:"shards,omitempty"`
 	// Window is the width of the query's time interval in model time
 	// (Hi-Lo+1 of the closed interval), 0 for untimed queries. The
 	// per-op mean feeds the agg grid's adaptive time-bucket sizing.
 	Window int64 `json:"window,omitempty"`
-}
-
-// ShardLoad is one shard's contribution to a scattered query.
-type ShardLoad struct {
-	Shard       int   `json:"shard"`
-	RowsScanned int64 `json:"rows_scanned"`
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
 }
 
 // Config parameterizes a Collector. The zero value gets sensible
