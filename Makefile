@@ -88,10 +88,12 @@ vet-strict: vet
 		./...
 
 # Each fuzz target for 10s: point-in-polygon vs the grid-verify scan
-# oracle, and the Piet-QL parser's no-panic guarantee.
+# oracle, the Piet-QL parser's no-panic guarantee, and the grouped
+# region-set count's grid route vs its scan route.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzPointInPolygon -fuzztime=10s ./internal/geom/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/pietql/
+	$(GO) test -run=NONE -fuzz=FuzzGroupedCount -fuzztime=10s ./internal/core/
 
 cover:
 	$(GO) test -cover ./...

@@ -431,6 +431,30 @@ func (g *Grid) ObjectsSampled(pg geom.Polygon, lo, hi int64, met *obs.Metrics) [
 
 // ObjectsSampledStats is ObjectsSampled plus the row-level work done.
 func (g *Grid) ObjectsSampledStats(pg geom.Polygon, lo, hi int64, met *obs.Metrics) ([]moft.Oid, Stats) {
+	set := make([]uint64, g.words)
+	st := g.ObjectsSampledInto(pg, lo, hi, set, met)
+	var out []moft.Oid
+	for w, bitsw := range set {
+		for bitsw != 0 {
+			o := w*64 + bits.TrailingZeros64(bitsw)
+			out = append(out, g.cols.Oids[o])
+			bitsw &= bitsw - 1
+		}
+	}
+	return out, st
+}
+
+// SetWords returns the length, in uint64 words, of an object bitset
+// over the grid's snapshot: bit o stands for object ordinal o, the
+// object cols.Oids[o].
+func (g *Grid) SetWords() int { return g.words }
+
+// ObjectsSampledInto ORs into set (SetWords words) the bit of every
+// object with at least one sample inside the closed polygon during
+// [lo, hi], and returns the row-level work done. Bits already set are
+// kept, so several polygons or windows accumulate into one union, and
+// boundary samples of objects already in the set skip the exact test.
+func (g *Grid) ObjectsSampledInto(pg geom.Polygon, lo, hi int64, set []uint64, met *obs.Metrics) Stats {
 	met = metricsOrNop(met)
 	cv := g.Cover(pg)
 	met.AggGridQueries.Inc()
@@ -438,10 +462,9 @@ func (g *Grid) ObjectsSampledStats(pg geom.Polygon, lo, hi int64, met *obs.Metri
 	met.AggGridBoundaryCells.Add(int64(len(cv.Boundary)))
 	var st Stats
 	if g.words == 0 {
-		return nil, st
+		return st
 	}
 	cols := g.cols
-	set := make([]uint64, g.words)
 	interior := int64(0)
 	if g.timeVacuous(lo, hi) {
 		for _, c := range cv.Interior {
@@ -488,13 +511,5 @@ func (g *Grid) ObjectsSampledStats(pg geom.Polygon, lo, hi int64, met *obs.Metri
 		}
 	}
 	met.AggGridRefinedSamples.Add(refined)
-	var out []moft.Oid
-	for w, bitsw := range set {
-		for bitsw != 0 {
-			o := w*64 + bits.TrailingZeros64(bitsw)
-			out = append(out, cols.Oids[o])
-			bitsw &= bitsw - 1
-		}
-	}
-	return out, st
+	return st
 }

@@ -208,6 +208,16 @@ func (tc *tableCache) build(ctx context.Context, e *Engine, table string) error 
 	return nil
 }
 
+// ordinal returns the index of a cached object in tc.oids. Object ids
+// are usually dense, so the direct guess oid - oids[0] almost always
+// hits; otherwise a binary search finds it.
+func (tc *tableCache) ordinal(oid moft.Oid) int {
+	if i := int(oid - tc.oids[0]); i >= 0 && i < len(tc.oids) && tc.oids[i] == oid {
+		return i
+	}
+	return sort.Search(len(tc.oids), func(i int) bool { return tc.oids[i] >= oid })
+}
+
 // aggGrid returns the table's pre-aggregated sample grid, building it
 // single-flight from the columnar snapshot on first use. Independent
 // of the LIT build: sample-only queries pay only for the grid.
@@ -234,8 +244,7 @@ func (tc *tableCache) aggGrid(ctx context.Context, e *Engine, table string) (*ag
 			// query-driven refinement); with no telemetry or no
 			// windowed queries yet, the hint stays 0 and sizing falls
 			// back to extent + density.
-			cfg.WindowHint = e.telemetry().MeanWindow(
-				"count_samples_inside", "objects_sampled_inside")
+			cfg.WindowHint = e.telemetry().MeanWindow(windowHintOps...)
 		}
 		g, err := agggrid.BuildCtx(ctx, cols, cfg)
 		if err != nil {
@@ -253,6 +262,11 @@ func (tc *tableCache) aggGrid(ctx context.Context, e *Engine, table string) (*ag
 	}
 	return tc.grid, nil
 }
+
+// windowHintOps are the ops whose observed query windows feed the
+// grid's adaptive time-bucket sizing: the interval-taking queries the
+// sample grid answers.
+var windowHintOps = []string{"count_samples_inside", "objects_sampled_inside", "count_region_set"}
 
 // candidates returns, in sorted oid order, the objects whose
 // trajectory bounding box intersects box — the spatial prefilter —

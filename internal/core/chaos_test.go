@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"mogis/internal/faultpoint"
 	"mogis/internal/moft"
 	"mogis/internal/qerr"
+	"mogis/internal/timedim"
 )
 
 // coreSites maps each engine-side faultpoint to a query guaranteed to
@@ -34,6 +36,25 @@ func coreSites(w *robustWorkload) map[string]func(ctx context.Context) ([]moft.O
 	}
 }
 
+// regionSetSites maps every faultpoint CountRegionSet traverses to one
+// of its shapes: the interpolated count crosses the LIT build, the
+// prefilter, the fan-out and the interval cache; the sampled count
+// crosses the grid build.
+func regionSetSites(w *robustWorkload) map[string]func(ctx context.Context) (any, error) {
+	passing := func(ctx context.Context) (any, error) {
+		return w.eng.CountRegionSet(ctx, regionSetQuery(w, false, timedim.SecondsPerHour))
+	}
+	return map[string]func(ctx context.Context) (any, error){
+		faultpoint.CoreLITBuild:       passing,
+		faultpoint.CoreFanoutChunk:    passing,
+		faultpoint.CorePrefilter:      passing,
+		faultpoint.CoreIntervalInsert: passing,
+		faultpoint.CoreGridBuild: func(ctx context.Context) (any, error) {
+			return w.eng.CountRegionSet(ctx, regionSetQuery(w, true, timedim.SecondsPerHour))
+		},
+	}
+}
+
 // TestChaosMatrix arms every core faultpoint in every injection mode
 // and checks, per cell: the query fails with the right typed error
 // (or, for a pure delay, is cancelled or completes correctly); after
@@ -41,12 +62,34 @@ func coreSites(w *robustWorkload) map[string]func(ctx context.Context) ([]moft.O
 // bit-for-bit; and no goroutines are stranded by the injected failure.
 func TestChaosMatrix(t *testing.T) {
 	w := newRobustWorkload(t)
-	sites := coreSites(w)
+	sites := map[string]func(ctx context.Context) (any, error){}
+	for site, q := range coreSites(w) {
+		sites[site] = func(ctx context.Context) (any, error) { return q(ctx) }
+	}
+	runChaosMatrix(t, w, sites)
+}
 
+// TestChaosRegionSet runs the chaos matrix over the Piet-QL operator.
+func TestChaosRegionSet(t *testing.T) {
+	w := newRobustWorkload(t)
+	runChaosMatrix(t, w, regionSetSites(w))
+}
+
+// sameAnswer compares two query answers: oid lists as eqOids does (nil
+// equals empty), anything else exactly.
+func sameAnswer(a, b any) bool {
+	if x, ok := a.([]moft.Oid); ok {
+		y, _ := b.([]moft.Oid)
+		return eqOids(x, y)
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+func runChaosMatrix(t *testing.T, w *robustWorkload, sites map[string]func(ctx context.Context) (any, error)) {
 	// Baselines from the same engine before any fault: also proves each
 	// query shape works, so a later nil error can only mean the site
 	// was not traversed.
-	baseline := map[string][]moft.Oid{}
+	baseline := map[string]any{}
 	for site, q := range sites {
 		out, err := q(context.Background())
 		if err != nil {
@@ -98,7 +141,7 @@ func TestChaosMatrix(t *testing.T) {
 						if !qerr.IsCancel(err) {
 							t.Fatalf("got %v, want cancellation", err)
 						}
-					} else if !eqOids(out, baseline[site]) {
+					} else if !sameAnswer(out, baseline[site]) {
 						t.Fatalf("delayed query completed with wrong result: %v", out)
 					}
 				}
@@ -109,7 +152,7 @@ func TestChaosMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("retry after %s fault: %v", mode, err)
 				}
-				if !eqOids(got, baseline[site]) {
+				if !sameAnswer(got, baseline[site]) {
 					t.Fatalf("retry diverged: got %v, want %v", got, baseline[site])
 				}
 

@@ -1016,10 +1016,8 @@ func (e *Engine) ObjectsEverWithinRadius(ctx context.Context, table string, cent
 
 // CountPassingThroughGeometries counts the objects whose interpolated
 // trajectory intersects at least one of the given polygons of a layer
-// during iv. This is the Piet-QL moving-objects part of Section 5:
-// the ids come from the geometric sub-query ("cities crossed by a
-// river containing at least one store"), and each object's
-// consecutive sample segments are intersected with those cities.
+// during iv: the ungrouped interpolated CountRegionSet, answered from
+// the cached, prefiltered per-polygon interval maps.
 //
 //moglint:deterministic
 func (e *Engine) CountPassingThroughGeometries(ctx context.Context, table, layerName string, ids []layer.Gid, iv timedim.Interval) (n int, err error) {
@@ -1027,47 +1025,8 @@ func (e *Engine) CountPassingThroughGeometries(ctx context.Context, table, layer
 	defer done(&err)
 	e.countQuery(7)
 	qc.noteWindow(iv)
-	l, ok := e.mctx.GIS().Layer(layerName)
-	if !ok {
-		return 0, fmt.Errorf("core: unknown layer %q", layerName)
-	}
-	pgs := make([]geom.Polygon, len(ids))
-	for i, id := range ids {
-		pg, ok := l.Polygon(id)
-		if !ok {
-			return 0, fmt.Errorf("core: layer %q has no polygon %d", layerName, id)
-		}
-		pgs[i] = pg
-	}
-	tc, err := e.table(ctx, qc, table)
-	if err != nil {
-		return 0, err
-	}
-	// Per-polygon interval maps (cached and prefiltered) replace the
-	// object × polygon double loop: an object counts once if any
-	// polygon's intervals touch the window.
-	hit := make(map[moft.Oid]bool)
-	for _, pg := range pgs {
-		if err := qc.step(ctx); err != nil {
-			return 0, err
-		}
-		ivmap, err := e.polygonIntervals(ctx, qc, tc, pg)
-		if err != nil {
-			return 0, err
-		}
-		for oid, ivs := range ivmap {
-			if hit[oid] {
-				continue
-			}
-			for _, ti := range ivs {
-				if ti.Lo <= float64(iv.Hi) && float64(iv.Lo) <= ti.Hi {
-					hit[oid] = true
-					break
-				}
-			}
-		}
-	}
-	return len(hit), nil
+	res, err := e.countRegionSet(ctx, qc, RegionSetQuery{Table: table, Layer: layerName, IDs: ids, Window: iv})
+	return res.Total, err
 }
 
 // --- Type 8: aggregation over one trajectory -------------------------

@@ -15,7 +15,7 @@ import (
 	"mogis/internal/traj"
 )
 
-// Querier is the engine surface callers program against: the 17 query
+// Querier is the engine surface callers program against: the 18 query
 // entry points plus the configuration and cache-lifecycle knobs that
 // pietql, the server, the benchmarks and the experiments need. *Engine
 // implements it; callers that wrap the engine (tracing, test doubles)
@@ -60,6 +60,7 @@ type Querier interface {
 	TimeSpentInside(ctx context.Context, table string, pg geom.Polygon, iv timedim.Interval) (map[moft.Oid]float64, error)
 	ObjectsEverWithinRadius(ctx context.Context, table string, center geom.Point, r float64, iv timedim.Interval) (map[moft.Oid]float64, error)
 	CountPassingThroughGeometries(ctx context.Context, table, layerName string, ids []layer.Gid, iv timedim.Interval) (int, error)
+	CountRegionSet(ctx context.Context, q RegionSetQuery) (RegionSetCount, error)
 	ObjectsPossiblyPassingThrough(ctx context.Context, table string, pg geom.Polygon, iv timedim.Interval, speedFactor float64) (PossiblyResult, error)
 
 	// Type 8: aggregation over one trajectory.

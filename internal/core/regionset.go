@@ -1,0 +1,425 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/bits"
+	"slices"
+	"sort"
+
+	"mogis/internal/agggrid"
+	"mogis/internal/geom"
+	"mogis/internal/layer"
+	"mogis/internal/moft"
+	"mogis/internal/timedim"
+)
+
+// This file implements the one operator behind the Piet-QL
+// moving-objects part: distinct-object counts over a region set (the
+// polygons a geometric sub-query selected), optionally rolled up along
+// Time into hour or day granules (Remark 1's "buses per hour"). Every
+// shape — sampled or interpolated, grouped or not — accumulates one
+// object bitset per granule:
+//
+//   - sampled: each polygon's grid answer (cover cells, temporal index,
+//     boundary refinement) is ORed into the granule's bitset; with the
+//     grid disabled a columnar scan fills the same bitsets;
+//   - interpolated: the cached, prefiltered per-polygon inside-interval
+//     maps are clipped to the window and mark every granule the
+//     clipped interval reaches.
+//
+// A granule's count is its popcount; the total is the popcount of the
+// union (interpolated grouped totals keep their own bitset, see
+// passingRegionSet).
+
+// RegionSetQuery describes the moving-objects part of a Piet-QL query,
+// `MOVING COUNT(*) FROM <Table> WHERE PASSES THROUGH layer.<Layer>
+// [DURING …] [SAMPLED ONLY] [GROUP BY hour|day]`, as one engine call.
+type RegionSetQuery struct {
+	// Table is the moving-object fact table.
+	Table string
+	// Layer and IDs name the region set: polygons of one layer.
+	Layer string
+	IDs   []layer.Gid
+	// Window is the closed query interval.
+	Window timedim.Interval
+	// Granule is the GROUP BY width in seconds
+	// (timedim.SecondsPerHour, timedim.SecondsPerDay); 0 leaves the
+	// count ungrouped.
+	Granule int64
+	// SampledOnly selects raw-sample semantics (an object counts when
+	// one of its samples lies in a polygon) instead of interpolation
+	// (an object counts when its trajectory passes through one).
+	SampledOnly bool
+}
+
+// GranuleCount is the distinct-object count of one granule.
+type GranuleCount struct {
+	// Start is the granule's first instant, a multiple of the width.
+	Start   timedim.Instant
+	Objects int
+}
+
+// RegionSetCount is the answer to a RegionSetQuery.
+type RegionSetCount struct {
+	// Granules lists, by ascending Start, every granule with at least
+	// one object; nil for an ungrouped query.
+	Granules []GranuleCount
+	// Total is the number of distinct objects over the whole window.
+	Total int
+}
+
+// CountRegionSet answers the Piet-QL moving-objects part in one call.
+// Sampled semantics count an object in a granule when it has a sample
+// inside one of the polygons at an instant of granule ∩ window;
+// grid-accelerated when the grid is enabled (verify mode cross-checks
+// against the columnar scan). Interpolated semantics clip every
+// inside-interval to the window and count the object in each granule
+// from the clipped start's granule up to the clipped end, so an
+// interval ending exactly on a granule boundary also counts in the
+// next granule; an ungrouped interpolated count is exactly
+// CountPassingThroughGeometries.
+//
+//moglint:deterministic
+func (e *Engine) CountRegionSet(ctx context.Context, q RegionSetQuery) (res RegionSetCount, err error) {
+	qc, ctx, done := e.begin(ctx, "count_region_set", q.Table)
+	defer done(&err)
+	e.countQuery(7)
+	qc.noteWindow(q.Window)
+	return e.countRegionSet(ctx, qc, q)
+}
+
+// countRegionSet is CountRegionSet inside an already open bracket.
+func (e *Engine) countRegionSet(ctx context.Context, qc *qctl, q RegionSetQuery) (RegionSetCount, error) {
+	if q.Granule < 0 {
+		return RegionSetCount{}, fmt.Errorf("core: negative granule %d", q.Granule)
+	}
+	if err := qc.step(ctx); err != nil {
+		return RegionSetCount{}, err
+	}
+	pgs, err := e.regionPolygons(q.Layer, q.IDs)
+	if err != nil {
+		return RegionSetCount{}, err
+	}
+	gr := granules{width: q.Granule, n: 1}
+	if q.SampledOnly || gr.width > 0 {
+		tbl, err := e.mctx.Table(q.Table)
+		if err != nil {
+			return RegionSetCount{}, err
+		}
+		cols, err := tbl.ColumnsCtx(ctx)
+		if err != nil {
+			return RegionSetCount{}, err
+		}
+		if gr.width > 0 {
+			gr = groupedGranules(q.Window, gr.width, cols)
+		}
+		if q.SampledOnly {
+			return e.sampledRegionSet(ctx, qc, q.Table, cols, pgs, q.Window, gr)
+		}
+	}
+	return e.passingRegionSet(ctx, qc, q.Table, pgs, q.Window, gr)
+}
+
+// regionPolygons resolves a region set's polygon ids.
+func (e *Engine) regionPolygons(layerName string, ids []layer.Gid) ([]geom.Polygon, error) {
+	l, ok := e.mctx.GIS().Layer(layerName)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown layer %q", layerName)
+	}
+	pgs := make([]geom.Polygon, len(ids))
+	for i, id := range ids {
+		pg, ok := l.Polygon(id)
+		if !ok {
+			return nil, fmt.Errorf("core: layer %q has no polygon %d", layerName, id)
+		}
+		pgs[i] = pg
+	}
+	return pgs, nil
+}
+
+// granules maps instants to the granules a RegionSetQuery reports:
+// granule k starts at base + k*width. An ungrouped query (width 0) has
+// the single granule 0, the whole window.
+type granules struct {
+	width, base int64
+	n           int
+}
+
+// groupedGranules spans the window clamped to the snapshot's time
+// extent: samples and interpolated trajectories both live inside it,
+// so no granule outside can receive an object, and the granule count
+// stays bounded by the data whatever the window.
+func groupedGranules(w timedim.Interval, width int64, cols *moft.Columns) granules {
+	gr := granules{width: width}
+	minT, maxT, ok := cols.TimeSpan()
+	lo, hi := int64(w.Lo), int64(w.Hi)
+	if lo < int64(minT) {
+		lo = int64(minT)
+	}
+	if hi > int64(maxT) {
+		hi = int64(maxT)
+	}
+	if !ok || lo > hi {
+		return gr
+	}
+	gr.base = floorTo(lo, width)
+	gr.n = int((floorTo(hi, width)-gr.base)/width) + 1
+	return gr
+}
+
+// floorTo rounds t down to a multiple of w (w > 0), like
+// timedim.Instant.TruncateHour for w = one hour.
+func floorTo(t, w int64) int64 {
+	q := t / w
+	if t%w < 0 {
+		q--
+	}
+	return q * w
+}
+
+// index returns the granule holding instant t, or -1 outside the span.
+func (gr granules) index(t int64) int {
+	if gr.width == 0 {
+		return 0
+	}
+	k := (floorTo(t, gr.width) - gr.base) / gr.width
+	if k < 0 || k >= int64(gr.n) {
+		return -1
+	}
+	return int(k)
+}
+
+// window returns granule k's part of the query window.
+func (gr granules) window(k int, w timedim.Interval) (lo, hi int64) {
+	lo, hi = int64(w.Lo), int64(w.Hi)
+	if gr.width == 0 {
+		return lo, hi
+	}
+	start := gr.base + int64(k)*gr.width
+	if start > lo {
+		lo = start
+	}
+	if end := start + gr.width - 1; end < hi {
+		hi = end
+	}
+	return lo, hi
+}
+
+// count turns per-granule object bitsets (n blocks of words words)
+// into the answer. total, when nil, is the union of the granules.
+func (gr granules) count(sets []uint64, words int, total []uint64) RegionSetCount {
+	if total == nil {
+		total = make([]uint64, words)
+		for k := 0; k < gr.n; k++ {
+			for w, b := range sets[k*words : (k+1)*words] {
+				total[w] |= b
+			}
+		}
+	}
+	res := RegionSetCount{Total: popcount(total)}
+	if gr.width == 0 {
+		return res
+	}
+	for k := 0; k < gr.n; k++ {
+		if c := popcount(sets[k*words : (k+1)*words]); c > 0 {
+			res.Granules = append(res.Granules, GranuleCount{
+				Start:   timedim.Instant(gr.base + int64(k)*gr.width),
+				Objects: c,
+			})
+		}
+	}
+	return res
+}
+
+func popcount(set []uint64) int {
+	n := 0
+	for _, b := range set {
+		n += bits.OnesCount64(b)
+	}
+	return n
+}
+
+// sampledRegionSet answers the sampled shapes: one bitset per granule,
+// filled from the grid (one ObjectsSampledInto per granule × polygon)
+// or, with the grid disabled, by the columnar scan.
+func (e *Engine) sampledRegionSet(ctx context.Context, qc *qctl, table string, cols *moft.Columns, pgs []geom.Polygon, w timedim.Interval, gr granules) (RegionSetCount, error) {
+	sets, words, err := e.sampledSets(ctx, qc, table, cols, pgs, w, gr)
+	if err != nil {
+		return RegionSetCount{}, err
+	}
+	res := gr.count(sets, words, nil)
+	return res, qc.addResults(int64(res.Total))
+}
+
+// sampledSets picks the sampled route; in verify mode the scan
+// re-answers every grid answer and wins on a mismatch.
+func (e *Engine) sampledSets(ctx context.Context, qc *qctl, table string, cols *moft.Columns, pgs []geom.Polygon, w timedim.Interval, gr granules) ([]uint64, int, error) {
+	if !e.gridEnabled() {
+		return e.sampledRegionSetScan(ctx, qc, cols, pgs, w, gr)
+	}
+	g, err := e.sampleGrid(ctx, table)
+	if err != nil {
+		return nil, 0, err
+	}
+	sp := e.mctx.Tracer().Start("regionset_grid")
+	sets, words, err := e.sampledRegionSetGrid(ctx, qc, g, pgs, w, gr)
+	sp.SetCount("polygons", int64(len(pgs)))
+	sp.SetCount("granules", int64(gr.n))
+	sp.End()
+	if err != nil || !e.gridVerify.Load() {
+		return sets, words, err
+	}
+	slow, slowWords, err := e.sampledRegionSetScan(ctx, qc, cols, pgs, w, gr)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !slices.Equal(sets, slow) {
+		e.metrics().AggGridMismatches.Inc()
+		return slow, slowWords, nil
+	}
+	return sets, words, nil
+}
+
+// sampledRegionSetGrid ORs every polygon's grid answer for each
+// granule's window into that granule's bitset.
+func (e *Engine) sampledRegionSetGrid(ctx context.Context, qc *qctl, g *agggrid.Grid, pgs []geom.Polygon, w timedim.Interval, gr granules) ([]uint64, int, error) {
+	met := e.metrics()
+	words := g.SetWords()
+	sets := make([]uint64, gr.n*words)
+	for k := 0; k < gr.n; k++ {
+		lo, hi := gr.window(k, w)
+		set := sets[k*words : (k+1)*words]
+		for _, pg := range pgs {
+			if err := qc.step(ctx); err != nil {
+				return nil, 0, err
+			}
+			st := g.ObjectsSampledInto(pg, lo, hi, set, met)
+			if err := qc.addRows(ctx, st.Rows); err != nil {
+				return nil, 0, err
+			}
+		}
+	}
+	return sets, words, nil
+}
+
+// sampledRegionSetScan is the unaccelerated sampled route: one pass
+// over each object's in-window rows, testing a row against the
+// polygons only while its object is not yet counted in the row's
+// granule.
+func (e *Engine) sampledRegionSetScan(ctx context.Context, qc *qctl, cols *moft.Columns, pgs []geom.Polygon, w timedim.Interval, gr granules) ([]uint64, int, error) {
+	sp := e.mctx.Tracer().Start("regionset_scan")
+	defer sp.End()
+	boxes := make([]geom.BBox, len(pgs))
+	for i, pg := range pgs {
+		boxes[i] = pg.BBox()
+	}
+	words := (cols.NumObjects() + 63) / 64
+	sets := make([]uint64, gr.n*words)
+	lo, hi := int64(w.Lo), int64(w.Hi)
+	scanned, pending := int64(0), int64(0)
+	defer func() { e.metrics().MOFTTuplesScanned.Add(scanned + pending) }()
+	for i := 0; i < cols.NumObjects(); i++ {
+		rlo, rhi := cols.ObjectRange(i)
+		ts := cols.T[rlo:rhi]
+		wd, bit := i>>6, uint64(1)<<uint(i&63)
+		for r := rlo + sort.Search(len(ts), func(j int) bool { return ts[j] >= lo }); r < rhi && cols.T[r] <= hi; r++ {
+			if pending >= checkEvery {
+				scanned += pending
+				if err := qc.addRows(ctx, pending); err != nil {
+					return nil, 0, err
+				}
+				pending = 0
+			}
+			pending++
+			k := gr.index(cols.T[r])
+			if k < 0 || sets[k*words+wd]&bit != 0 {
+				continue
+			}
+			p := geom.Pt(cols.X[r], cols.Y[r])
+			for j, pg := range pgs {
+				if boxes[j].ContainsPoint(p) && pg.ContainsPoint(p) {
+					sets[k*words+wd] |= bit
+					break
+				}
+			}
+		}
+	}
+	sp.SetCount("polygons", int64(len(pgs)))
+	sp.SetCount("granules", int64(gr.n))
+	return sets, words, nil
+}
+
+// passingRegionSet answers the interpolated shapes from the cached,
+// prefiltered per-polygon inside-interval maps. Ungrouped, an object
+// counts when an interval touches the window (ObjectsPassingThrough's
+// test). Grouped, each interval is clipped to the window and marks
+// the granules from its clipped start's granule while the granule
+// start is <= the clipped end; the total counts objects with a
+// non-empty clipped interval, kept in its own bitset because it is
+// not always the union of the marked granules.
+func (e *Engine) passingRegionSet(ctx context.Context, qc *qctl, table string, pgs []geom.Polygon, w timedim.Interval, gr granules) (RegionSetCount, error) {
+	tc, err := e.table(ctx, qc, table)
+	if err != nil {
+		return RegionSetCount{}, err
+	}
+	sp := e.mctx.Tracer().Start("regionset_intervals")
+	defer sp.End()
+	sp.SetCount("polygons", int64(len(pgs)))
+	sp.SetCount("granules", int64(gr.n))
+	words := (len(tc.oids) + 63) / 64
+	sets := make([]uint64, gr.n*words)
+	total := make([]uint64, words)
+	wlo, whi := float64(w.Lo), float64(w.Hi)
+	for _, pg := range pgs {
+		if err := qc.step(ctx); err != nil {
+			return RegionSetCount{}, err
+		}
+		ivmap, err := e.polygonIntervals(ctx, qc, tc, pg)
+		if err != nil {
+			return RegionSetCount{}, err
+		}
+		scanned := 0
+		for oid, ivs := range ivmap {
+			if scanned%checkEvery == 0 {
+				if err := qc.step(ctx); err != nil {
+					return RegionSetCount{}, err
+				}
+			}
+			scanned++
+			o := tc.ordinal(oid)
+			wd, bit := o>>6, uint64(1)<<uint(o&63)
+			if gr.width == 0 {
+				if total[wd]&bit != 0 {
+					continue
+				}
+				for _, ti := range ivs {
+					if ti.Lo <= whi && wlo <= ti.Hi {
+						total[wd] |= bit
+						break
+					}
+				}
+				continue
+			}
+			for _, ti := range ivs {
+				lo, hi := ti.Lo, ti.Hi
+				if lo < wlo {
+					lo = wlo
+				}
+				if hi > whi {
+					hi = whi
+				}
+				if hi < lo {
+					continue
+				}
+				total[wd] |= bit
+				for b := floorTo(int64(timedim.Instant(lo)), gr.width); float64(b) <= hi; b += gr.width {
+					if k := gr.index(b); k >= 0 {
+						sets[k*words+wd] |= bit
+					}
+				}
+			}
+		}
+	}
+	return gr.count(sets, words, total), nil
+}

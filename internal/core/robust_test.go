@@ -87,6 +87,14 @@ func TestPreCancelledContext(t *testing.T) {
 			_, err := w.eng.TrajectoryAggregate(ctx, "FM", 1)
 			return err
 		},
+		"CountRegionSet/sampled": func() error {
+			_, err := w.eng.CountRegionSet(ctx, regionSetQuery(w, true, timedim.SecondsPerHour))
+			return err
+		},
+		"CountRegionSet/interpolated": func() error {
+			_, err := w.eng.CountRegionSet(ctx, regionSetQuery(w, false, timedim.SecondsPerHour))
+			return err
+		},
 	}
 	for name, call := range calls {
 		if err := call(); !qerr.IsCancel(err) {

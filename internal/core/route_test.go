@@ -94,6 +94,18 @@ func routeQueries(w *robustWorkload, q core.Querier) map[string]func(ctx context
 			v, err := q.CountPassingThroughGeometries(ctx, "FM", "Ln", []layer.Gid{1, 2, 3}, w.win)
 			return v, err
 		},
+		"CountRegionSet/sampled-hour": func(ctx context.Context) (any, error) {
+			v, err := q.CountRegionSet(ctx, regionSetQuery(w, true, timedim.SecondsPerHour))
+			return v, err
+		},
+		"CountRegionSet/interpolated-hour": func(ctx context.Context) (any, error) {
+			v, err := q.CountRegionSet(ctx, regionSetQuery(w, false, timedim.SecondsPerHour))
+			return v, err
+		},
+		"CountRegionSet/sampled-ungrouped": func(ctx context.Context) (any, error) {
+			v, err := q.CountRegionSet(ctx, regionSetQuery(w, true, 0))
+			return v, err
+		},
 		"TrajectoryAggregate": func(ctx context.Context) (any, error) {
 			v, err := q.TrajectoryAggregate(ctx, "FM", 7)
 			return v, err
@@ -102,6 +114,15 @@ func routeQueries(w *robustWorkload, q core.Querier) map[string]func(ctx context
 			v, err := q.ObjectsPossiblyPassingThrough(ctx, "FM", w.pg, w.win, 1.5)
 			return v, err
 		},
+	}
+}
+
+// regionSetQuery is the workload's CountRegionSet shape: neighborhoods
+// 1–3 over the workload window.
+func regionSetQuery(w *robustWorkload, sampled bool, granule int64) core.RegionSetQuery {
+	return core.RegionSetQuery{
+		Table: "FM", Layer: "Ln", IDs: []layer.Gid{1, 2, 3}, Window: w.win,
+		Granule: granule, SampledOnly: sampled,
 	}
 }
 

@@ -52,5 +52,7 @@
 // answer to the geometric part is not empty". GROUP BY hour (or day,
 // lower case) breaks the count down per Time-dimension bucket — the
 // "per hour" of Remark 1 — counting an object in every bucket its
-// passage overlaps.
+// passage overlaps. The whole moving-objects part is one engine call,
+// core.Engine.CountRegionSet; EXPLAIN prints its window, granule and
+// the structure that answers it.
 package pietql

@@ -10,10 +10,8 @@ import (
 
 	"mogis/internal/core"
 	"mogis/internal/fo"
-	"mogis/internal/geom"
 	"mogis/internal/layer"
 	"mogis/internal/mdx"
-	"mogis/internal/moft"
 	"mogis/internal/obs"
 	"mogis/internal/olap"
 	"mogis/internal/overlay"
@@ -202,6 +200,21 @@ func ExplainPlan(q *Query) string {
 		}
 		fmt.Fprintf(&sb, "  mo: %s(*) from %s passing through %s (%s)\n",
 			q.MO.Agg, q.MO.Table, q.MO.ThroughLayer, semantics)
+		window := "the table's full time span"
+		if q.MO.HasWindow {
+			window = q.MO.Window.Lo.String() + " to " + q.MO.Window.Hi.String()
+		}
+		fmt.Fprintf(&sb, "    window: %s\n", window)
+		if q.MO.GroupBy != "" {
+			fmt.Fprintf(&sb, "    granule: %s (%d s)\n", q.MO.GroupBy, granuleSeconds(q.MO.GroupBy))
+		} else {
+			sb.WriteString("    granule: none (one count over the window)\n")
+		}
+		structure := "interval cache (per-polygon inside-intervals over the prefiltered trajectories)"
+		if q.MO.SampledOnly {
+			structure = "grid/temporal (sample grid with its per-cell time index; columnar scan when the grid is off)"
+		}
+		fmt.Fprintf(&sb, "    answered by: one count_region_set call on the %s\n", structure)
 	}
 	return sb.String()
 }
@@ -563,7 +576,9 @@ func (s *System) contains(ra overlay.Ref, aid layer.Gid, rb overlay.Ref, bid lay
 }
 
 // evalMO evaluates the moving-objects part against the geometric
-// result.
+// result in one engine call: CountRegionSet answers every shape
+// (sampled or interpolated, grouped or not) on the engine's grid,
+// temporal index and interval cache.
 func (s *System) evalMO(ctx context.Context, q *MOQuery, geoIDs map[string][]layer.Gid) (int, *olap.AggResult, error) {
 	ids, ok := geoIDs[q.ThroughLayer]
 	if !ok {
@@ -579,140 +594,46 @@ func (s *System) evalMO(ctx context.Context, q *MOQuery, geoIDs map[string][]lay
 	}
 	window := q.Window
 	if !q.HasWindow {
-		lo, hi, ok := tbl.TimeSpan()
+		cols, err := tbl.ColumnsCtx(ctx)
+		if err != nil {
+			return 0, nil, err
+		}
+		lo, hi, ok := cols.TimeSpan()
 		if !ok {
 			return 0, nil, nil
 		}
 		window = timedim.Interval{Lo: lo, Hi: hi}
 	}
-	if q.GroupBy != "" {
-		groups, total, err := s.evalMOGrouped(ctx, q, ids, window)
-		if err != nil {
-			return 0, nil, err
-		}
-		return total, groups, nil
+	res, err := s.Engine.CountRegionSet(ctx, core.RegionSetQuery{
+		Table: q.Table, Layer: q.ThroughLayer, IDs: ids, Window: window,
+		Granule: granuleSeconds(q.GroupBy), SampledOnly: q.SampledOnly,
+	})
+	if err != nil || q.GroupBy == "" {
+		return res.Total, nil, err
 	}
-	if !q.SampledOnly {
-		n, err := s.Engine.CountPassingThroughGeometries(ctx, q.Table, q.ThroughLayer, ids, window)
-		return n, nil, err
+	groups := &olap.AggResult{GroupCols: []string{string(q.GroupBy)}}
+	for _, g := range res.Granules {
+		label, _ := timedim.Rollup(q.GroupBy, g.Start)
+		groups.Rows = append(groups.Rows, olap.AggResultRow{
+			Group: []olap.Member{olap.Member(label)},
+			Value: float64(g.Objects),
+			N:     int64(g.Objects),
+		})
 	}
-	// Sample-only semantics: union the per-polygon sampled objects.
-	l, _ := s.Ctx.GIS().Layer(q.ThroughLayer)
-	seen := map[moft.Oid]bool{}
-	for _, id := range ids {
-		pg, ok := l.Polygon(id)
-		if !ok {
-			return 0, nil, fmt.Errorf("pietql: layer %q has no polygon %d", q.ThroughLayer, id)
-		}
-		objs, err := s.Engine.ObjectsSampledInside(ctx, q.Table, pg, window)
-		if err != nil {
-			return 0, nil, err
-		}
-		for _, o := range objs {
-			seen[o] = true
-		}
-	}
-	return len(seen), nil, nil
+	sort.Slice(groups.Rows, func(i, j int) bool { return groups.Rows[i].Group[0] < groups.Rows[j].Group[0] })
+	return res.Total, groups, nil
 }
 
-// evalMOGrouped computes per-bucket object counts for GROUP BY hour
-// or day: an object contributes to every bucket its passing intervals
-// (or in-polygon samples) overlap. The returned total is the number
-// of distinct contributing objects.
-func (s *System) evalMOGrouped(ctx context.Context, q *MOQuery, ids []layer.Gid, window timedim.Interval) (*olap.AggResult, int, error) {
-	l, _ := s.Ctx.GIS().Layer(q.ThroughLayer)
-	polys := make([]geom.Polygon, 0, len(ids))
-	for _, id := range ids {
-		pg, ok := l.Polygon(id)
-		if !ok {
-			return nil, 0, fmt.Errorf("pietql: layer %q has no polygon %d", q.ThroughLayer, id)
-		}
-		polys = append(polys, pg)
+// granuleSeconds is the granule width of a GROUP BY category (0 for
+// an ungrouped query).
+func granuleSeconds(cat timedim.Category) int64 {
+	switch cat {
+	case timedim.CatHour:
+		return timedim.SecondsPerHour
+	case timedim.CatDay:
+		return timedim.SecondsPerDay
 	}
-
-	bucketWidth := int64(timedim.SecondsPerHour)
-	if q.GroupBy == timedim.CatDay {
-		bucketWidth = timedim.SecondsPerDay
-	}
-	truncate := func(t timedim.Instant) timedim.Instant {
-		if q.GroupBy == timedim.CatDay {
-			return t.TruncateDay()
-		}
-		return t.TruncateHour()
-	}
-
-	perBucket := make(map[string]map[moft.Oid]bool)
-	contributing := make(map[moft.Oid]bool)
-	mark := func(oid moft.Oid, t timedim.Instant) {
-		label, _ := timedim.Rollup(q.GroupBy, t)
-		if perBucket[label] == nil {
-			perBucket[label] = make(map[moft.Oid]bool)
-		}
-		perBucket[label][oid] = true
-		contributing[oid] = true
-	}
-
-	if q.SampledOnly {
-		tbl, err := s.Ctx.Table(q.Table)
-		if err != nil {
-			return nil, 0, err
-		}
-		rows := 0
-		tbl.ScanInterval(window, func(tp moft.Tuple) bool {
-			if rows++; rows%4096 == 0 && ctx.Err() != nil {
-				return false
-			}
-			for _, pg := range polys {
-				if pg.ContainsPoint(tp.Point()) {
-					mark(tp.Oid, tp.T)
-					break
-				}
-			}
-			return true
-		})
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-	} else {
-		lits, err := s.Engine.Trajectories(ctx, q.Table)
-		if err != nil {
-			return nil, 0, err
-		}
-		for oid, lit := range lits {
-			if err := ctx.Err(); err != nil {
-				return nil, 0, err
-			}
-			for _, pg := range polys {
-				for _, iv := range lit.InsidePolygonIntervals(pg) {
-					lo, hi := iv.Lo, iv.Hi
-					if lo < float64(window.Lo) {
-						lo = float64(window.Lo)
-					}
-					if hi > float64(window.Hi) {
-						hi = float64(window.Hi)
-					}
-					if hi < lo {
-						continue
-					}
-					// Mark every bucket the clipped interval overlaps.
-					for b := truncate(timedim.Instant(lo)); float64(b) <= hi; b += timedim.Instant(bucketWidth) {
-						mark(oid, b)
-					}
-				}
-			}
-		}
-	}
-
-	res := &olap.AggResult{GroupCols: []string{string(q.GroupBy)}}
-	for label, objs := range perBucket {
-		res.Rows = append(res.Rows, olap.AggResultRow{
-			Group: []olap.Member{olap.Member(label)},
-			Value: float64(len(objs)),
-			N:     int64(len(objs)),
-		})
-	}
-	sort.Slice(res.Rows, func(i, j int) bool { return res.Rows[i].Group[0] < res.Rows[j].Group[0] })
-	return res, len(contributing), nil
+	return 0
 }
 
 // FormatOutcome renders an outcome as text for CLI use.

@@ -65,7 +65,29 @@ func TestExplainPlanOnly(t *testing.T) {
 	if out.HasMO || out.GeoIDs != nil {
 		t.Errorf("plain EXPLAIN executed the query: %+v", out)
 	}
-	for _, want := range []string{"plan:", "intersection(Lr, Ln)", "CONTAINS(Ln, Lstores)", "COUNT(*) from FMbus"} {
+	for _, want := range []string{"plan:", "intersection(Lr, Ln)", "CONTAINS(Ln, Lstores)", "COUNT(*) from FMbus",
+		"window: the table's full time span", "granule: none", "answered by: one count_region_set call on the interval cache"} {
+		if !strings.Contains(out.Explain, want) {
+			t.Errorf("Explain missing %q:\n%s", want, out.Explain)
+		}
+	}
+}
+
+// TestExplainPlanNamesRoute: EXPLAIN prints the MO part's window, its
+// GROUP BY granule and the structure that answers it.
+func TestExplainPlanNamesRoute(t *testing.T) {
+	sys := system(t, true)
+	out, err := sys.Run(context.Background(), "EXPLAIN "+paperQuery+
+		`| | MOVING COUNT(*) FROM FMbus WHERE PASSES THROUGH layer.Ln DURING '2006-01-09 06:10' TO '2006-01-09 07:25:30' SAMPLED ONLY GROUP BY hour`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"(sampled-only)",
+		"window: 2006-01-09 06:10 to 2006-01-09 07:25:30",
+		"granule: hour (3600 s)",
+		"answered by: one count_region_set call on the grid/temporal",
+	} {
 		if !strings.Contains(out.Explain, want) {
 			t.Errorf("Explain missing %q:\n%s", want, out.Explain)
 		}

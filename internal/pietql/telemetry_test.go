@@ -110,3 +110,36 @@ func TestSystemTelemetryDisabled(t *testing.T) {
 		t.Errorf("disabled run left a tracer attached: %v", tr)
 	}
 }
+
+// TestMOPartIsOneEngineCall: every moving-objects shape — sampled or
+// interpolated, grouped or not — reaches the engine as exactly one
+// count_region_set record, whose windows feed the grid's time-bucket
+// hint.
+func TestMOPartIsOneEngineCall(t *testing.T) {
+	sys := system(t, false)
+	col := telemetry.New(telemetry.Config{Registry: obs.NewRegistry(), SampleEvery: -1})
+	sys.Engine.SetTelemetry(col)
+	sys.Telemetry = col
+	ctx := context.Background()
+	shapes := []string{"", " SAMPLED ONLY", " GROUP BY hour", " SAMPLED ONLY GROUP BY day"}
+	for _, shape := range shapes {
+		if _, err := sys.Run(ctx, paperQuery+`| | MOVING COUNT(*) FROM FMbus WHERE PASSES THROUGH layer.Ln
+			DURING '2006-01-09 09:00' TO '2006-01-09 12:00'`+shape); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, row := range col.Stats().Ops {
+		switch row.Op {
+		case "pietql_query":
+		case "count_region_set":
+			if row.Queries != int64(len(shapes)) {
+				t.Errorf("count_region_set queries = %d, want %d", row.Queries, len(shapes))
+			}
+			if row.MeanWindow != 3*3600+1 {
+				t.Errorf("count_region_set mean window = %d, want %d", row.MeanWindow, 3*3600+1)
+			}
+		default:
+			t.Errorf("unexpected engine op %s (%d queries)", row.Op, row.Queries)
+		}
+	}
+}

@@ -27,12 +27,12 @@ func testCollector(t *testing.T) *telemetry.Collector {
 	})
 	c.Record(telemetry.QueryRecord{
 		Op: "objects_passing_through", Table: "cars",
-		Start: time.Now(), Duration: 3 * time.Millisecond,
+		Start: time.Now().Add(-3 * time.Millisecond), Duration: 3 * time.Millisecond,
 		Outcome: telemetry.OutcomeOK, RowsScanned: 500, CacheHits: 1,
 	})
 	c.Record(telemetry.QueryRecord{
 		Op: "objects_passing_through", Table: "cars",
-		Start: time.Now(), Duration: 80 * time.Millisecond,
+		Start: time.Now().Add(-80 * time.Millisecond), Duration: 80 * time.Millisecond,
 		Outcome: telemetry.OutcomeCancelled, Err: "context canceled",
 	})
 	return c
