@@ -1,23 +1,22 @@
 package mogis
 
 // Root benchmark harness: one benchmark per experiment table of
-// EXPERIMENTS.md (P1–P6 plus the paper-artifact query E4 and the γ operator), so that
-// `go test -bench=.` regenerates every measured series. The
-// cmd/mobench binary prints the same tables with labels.
+// EXPERIMENTS.md (P1–P3 and P5 plus the paper-artifact query E4 and
+// the γ operator), so that `go test -bench=.` regenerates every
+// measured series. The cmd/mobench binary prints the same tables
+// with labels.
 
 import (
 	"context"
-
+	"strconv"
 	"testing"
 
 	"mogis/internal/fo"
-	"mogis/internal/geom"
 	"mogis/internal/gis"
 	"mogis/internal/layer"
 	"mogis/internal/olap"
 	"mogis/internal/overlay"
 	"mogis/internal/scenario"
-	"mogis/internal/sindex"
 	"mogis/internal/timedim"
 	"mogis/internal/workload"
 )
@@ -148,38 +147,6 @@ func BenchmarkP3Interpolation(b *testing.B) {
 	}
 }
 
-// BenchmarkP4AggIndex measures the aggregate spatio-temporal index
-// against linear scans for region×interval counts.
-func BenchmarkP4AggIndex(b *testing.B) {
-	city := workload.GenCity(workload.CityConfig{Seed: 4, Cols: 8, Rows: 8})
-	for _, n := range []int{10000, 80000} {
-		fm := workload.GenTrajectories(city.Extent, workload.TrajConfig{
-			Seed: 4, Objects: n / 100, Samples: 100, Step: 60, Speed: 3,
-		})
-		samples := make([]sindex.SamplePoint, 0, fm.Len())
-		for _, tp := range fm.Tuples() {
-			samples = append(samples, sindex.SamplePoint{P: tp.Point(), T: int64(tp.T)})
-		}
-		idx := sindex.BuildAggQuadTree(samples, sindex.AggConfig{})
-		lo, hi, _ := fm.TimeSpan()
-		box := geom.BBox{
-			MinX: city.Extent.MinX + 100, MinY: city.Extent.MinY + 100,
-			MaxX: city.Extent.MinX + 400, MaxY: city.Extent.MinY + 400,
-		}
-		t0, t1 := int64(lo), int64(lo)+(int64(hi)-int64(lo))/3
-		b.Run(sizeName("index", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				idx.CountInRange(box, t0, t1)
-			}
-		})
-		b.Run(sizeName("scan", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sindex.CountNaive(samples, box, t0, t1)
-			}
-		})
-	}
-}
-
 // BenchmarkP5RegionC measures first-order region-C evaluation over
 // growing MOFTs.
 func BenchmarkP5RegionC(b *testing.B) {
@@ -226,51 +193,5 @@ func BenchmarkGammaAggregation(b *testing.B) {
 }
 
 func sizeName(prefix string, n int) string {
-	return prefix + "-" + itoa(n)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-// BenchmarkP6Distinct measures distinct-object counting via the
-// (x, y, t) octree against a scan.
-func BenchmarkP6Distinct(b *testing.B) {
-	city := workload.GenCity(workload.CityConfig{Seed: 6, Cols: 8, Rows: 8})
-	for _, n := range []int{10000, 80000} {
-		fm := workload.GenTrajectories(city.Extent, workload.TrajConfig{
-			Seed: 6, Objects: n / 100, Samples: 100, Step: 60, Speed: 3,
-		})
-		samples := make([]sindex.OidSamplePoint, 0, fm.Len())
-		for _, tp := range fm.Tuples() {
-			samples = append(samples, sindex.OidSamplePoint{P: tp.Point(), T: int64(tp.T), Oid: int64(tp.Oid)})
-		}
-		idx := sindex.BuildDistinctIndex(samples, 64)
-		lo, hi, _ := fm.TimeSpan()
-		box := geom.BBox{
-			MinX: city.Extent.MinX + 100, MinY: city.Extent.MinY + 100,
-			MaxX: city.Extent.MinX + 400, MaxY: city.Extent.MinY + 400,
-		}
-		t0, t1 := int64(lo), int64(lo)+(int64(hi)-int64(lo))/3
-		b.Run(sizeName("index", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				idx.CountDistinct(box, t0, t1)
-			}
-		})
-		b.Run(sizeName("scan", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sindex.CountDistinctNaive(samples, box, t0, t1)
-			}
-		})
-	}
+	return prefix + "-" + strconv.Itoa(n)
 }

@@ -261,14 +261,22 @@ type Cover struct {
 
 // Cover classifies the cells overlapping pg's bounding box. A cell is
 // Boundary iff some polygon boundary segment intersects its closed
-// rectangle; the remaining cells are uniformly inside or outside and
-// classified by one center point-in-polygon test.
+// rectangle grown by a small slack; the remaining cells are uniformly
+// inside or outside and classified by one center point-in-polygon
+// test.
 func (g *Grid) Cover(pg geom.Polygon) Cover {
 	var cv Cover
 	x0, x1, y0, y1, ok := g.cellRange(pg.BBox())
 	if !ok {
 		return cv
 	}
+	// cellOf's division and cellBox's multiply-add round separately, so
+	// a sample can sit a few ulps outside its cell's computed rectangle
+	// (on the extent's max edge, for one). The slack, far above that
+	// error, keeps every cell such a sample's boundary edge passes
+	// through a Boundary cell, which is refined exactly.
+	e := g.extent
+	slack := 1e-9 * (math.Abs(e.MinX) + math.Abs(e.MaxX) + math.Abs(e.MinY) + math.Abs(e.MaxY) + g.cellW + g.cellH)
 	marked := make([]bool, g.nx*g.ny)
 	for _, r := range pg.Rings() {
 		for i := 0; i < r.NumVertices(); i++ {
@@ -280,7 +288,7 @@ func (g *Grid) Cover(pg geom.Polygon) Cover {
 			for cy := sy0; cy <= sy1; cy++ {
 				for cx := sx0; cx <= sx1; cx++ {
 					c := cy*g.nx + cx
-					if !marked[c] && segIntersectsRect(seg, g.cellBox(c)) {
+					if !marked[c] && segIntersectsRect(seg, g.cellBox(c).Expand(slack)) {
 						marked[c] = true
 					}
 				}

@@ -2,24 +2,22 @@
 // in DESIGN.md and recorded in EXPERIMENTS.md: the paper-artifact
 // checks E1–E6 (Table 1, Figure 1, Figure 2, Remark 1, the Section-4
 // example queries, and the Section-5 Piet-QL query) and the
-// performance studies P1–P9 that validate the paper's qualitative
-// claims about evaluation strategy. Each experiment returns a
-// printable report so cmd/mobench, tests and benchmarks share one
-// implementation.
+// performance studies P1–P13 (P4, P6 and P12 are retired) that
+// validate the paper's qualitative claims about evaluation strategy,
+// plus the ablation A1. Each experiment returns a printable report so
+// cmd/mobench, tests and benchmarks share one implementation; Run and
+// IDs read the one ordered registry of ids and sizes.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"mogis/internal/fo"
-	"mogis/internal/geom"
 	"mogis/internal/gis"
 	"mogis/internal/layer"
 	"mogis/internal/mdx"
@@ -29,7 +27,6 @@ import (
 	"mogis/internal/overlay"
 	"mogis/internal/pietql"
 	"mogis/internal/scenario"
-	"mogis/internal/sindex"
 	"mogis/internal/timedim"
 	"mogis/internal/workload"
 )
@@ -70,8 +67,7 @@ var (
 // P13) apply in their accelerated phases: cells is the SetAggGrid
 // argument (0 keeps adaptive auto-sizing), buckets the SetTimeBuckets
 // argument (0 keeps adaptive, <0 disables the temporal index).
-// cmd/mobench uses it for -grid-cells/-time-buckets, and records the
-// values in the benchmark JSON so -baseline can warn on config drift.
+// cmd/mobench uses it for -grid-cells/-time-buckets.
 func SetGridDefaults(cells, buckets int) {
 	tuneMu.Lock()
 	defer tuneMu.Unlock()
@@ -93,10 +89,6 @@ type Report struct {
 	// Pass indicates the paper-artifact checks succeeded (always true
 	// for performance studies that ran to completion).
 	Pass bool
-	// Metrics carries machine-readable key results (ns/op, speedups,
-	// cache rates) for benchmark baselines such as BENCH_PR2.json;
-	// nil for experiments that are purely textual.
-	Metrics map[string]float64 `json:",omitempty"`
 }
 
 func (r Report) String() string {
@@ -534,10 +526,6 @@ func P2() Report {
 	}
 	summableTime := time.Since(t0)
 
-	mets := map[string]float64{
-		"summable_ns_per_op": float64(summableTime.Nanoseconds()),
-		"gomaxprocs":         float64(runtime.GOMAXPROCS(0)),
-	}
 	var rows []Row
 	rows = append(rows, Row{Label: "summable Σ h'(g)", Values: []string{fmtDur(summableTime), fmt.Sprintf("%.0f", want), "0.00%"}})
 	for _, subdiv := range []int{0, 2, 4} {
@@ -552,7 +540,6 @@ func P2() Report {
 			got += v
 		}
 		dt := time.Since(t0)
-		mets[fmt.Sprintf("integration_ns_per_op_subdiv%d", subdiv)] = float64(dt.Nanoseconds())
 		rows = append(rows, Row{
 			Label: fmt.Sprintf("integration subdiv=%d", subdiv),
 			Values: []string{fmtDur(dt), fmt.Sprintf("%.0f", got),
@@ -561,7 +548,7 @@ func P2() Report {
 	}
 	body := Table([]string{"method", "time", "value", "error"}, rows)
 	body += "  expectation (paper Def. 4/§5): summable queries avoid integration entirely\n"
-	return Report{ID: "P2", Title: "summable rewriting vs numeric integration", Body: body, Pass: true, Metrics: mets}
+	return Report{ID: "P2", Title: "summable rewriting vs numeric integration", Body: body, Pass: true}
 }
 
 // P3 measures interpolation-aware versus sample-only passes-through
@@ -609,76 +596,6 @@ func P3(objectCounts []int) Report {
 	body := Table([]string{"workload", "sampled-only", "interpolated", "missed-by-samples", "t(sample)", "t(interp)"}, rows)
 	body += "  expectation (paper Fig. 1, O6): sample-only answers undercount pass-through objects\n"
 	return Report{ID: "P3", Title: "interpolated vs sample-only passes-through", Body: body, Pass: true}
-}
-
-// P4 compares the aggregate spatio-temporal index against MOFT scans
-// for region×interval counts (the cited Papadias et al. strategy).
-func P4(sampleCounts []int, queries int) Report {
-	if len(sampleCounts) == 0 {
-		sampleCounts = []int{10000, 40000, 160000}
-	}
-	if queries <= 0 {
-		queries = 200
-	}
-	var rows []Row
-	for _, n := range sampleCounts {
-		city := workload.GenCity(workload.CityConfig{Seed: 4, Cols: 8, Rows: 8})
-		objects := n / 100
-		fm := workload.GenTrajectories(city.Extent, workload.TrajConfig{
-			Seed: 4, Objects: objects, Samples: 100, Step: 60, Speed: 3,
-		})
-		samples := make([]sindex.SamplePoint, 0, fm.Len())
-		for _, tp := range fm.Tuples() {
-			samples = append(samples, sindex.SamplePoint{P: tp.Point(), T: int64(tp.T)})
-		}
-		t0 := time.Now()
-		idx := sindex.BuildAggQuadTree(samples, sindex.AggConfig{})
-		buildTime := time.Since(t0)
-
-		lo, hi, _ := fm.TimeSpan()
-		boxes := make([]geom.BBox, queries)
-		times := make([][2]int64, queries)
-		for q := range boxes {
-			cx := city.Extent.MinX + float64(q%10)/10*city.Extent.Width()
-			cy := city.Extent.MinY + float64(q/10%10)/10*city.Extent.Height()
-			r := 50 + float64(q%7)*30
-			boxes[q] = geom.BBox{MinX: cx - r, MinY: cy - r, MaxX: cx + r, MaxY: cy + r}
-			t0q := int64(lo) + int64(q)*(int64(hi)-int64(lo))/int64(queries+1)
-			times[q] = [2]int64{t0q, t0q + (int64(hi)-int64(lo))/4}
-		}
-
-		t0 = time.Now()
-		var idxSum int64
-		for q := 0; q < queries; q++ {
-			idxSum += idx.CountInRange(boxes[q], times[q][0], times[q][1])
-		}
-		idxTime := time.Since(t0)
-
-		t0 = time.Now()
-		var scanSum int64
-		for q := 0; q < queries; q++ {
-			scanSum += sindex.CountNaive(samples, boxes[q], times[q][0], times[q][1])
-		}
-		scanTime := time.Since(t0)
-
-		if idxSum != scanSum {
-			return Report{ID: "P4", Title: "aggregate index vs scan",
-				Body: fmt.Sprintf("MISMATCH: index %d vs scan %d", idxSum, scanSum)}
-		}
-		speedup := float64(scanTime.Nanoseconds()) / math.Max(1, float64(idxTime.Nanoseconds()))
-		rows = append(rows, Row{
-			Label: fmt.Sprintf("%d samples", len(samples)),
-			Values: []string{
-				fmtDur(buildTime),
-				fmtDur(idxTime / time.Duration(queries)),
-				fmtDur(scanTime / time.Duration(queries)),
-				fmt.Sprintf("%.1fx", speedup),
-			},
-		})
-	}
-	body := Table([]string{"workload", "build", "index/query", "scan/query", "speedup"}, rows)
-	body += "  expectation (paper §2, Papadias et al.): pre-aggregation beats scans, growing with data size\n"
-	return Report{ID: "P4", Title: "aggregate spatio-temporal index vs MOFT scan", Body: body, Pass: true}
 }
 
 // P5 measures first-order region-C evaluation over growing MOFTs:
@@ -781,64 +698,64 @@ func P8(iters int) Report {
 	return Report{ID: "P8", Title: "observability overhead", Body: err.Error()}
 }
 
-// All runs every experiment (with modest default sizes).
-func All() []Report {
-	return []Report{
-		E1(), E2(), E3(), E4(), E5(), E6(),
-		P1(nil, 0), P2(), P3(nil), P4(nil, 0), P5(nil), P6(nil, 0), P7(nil), P8(0), P9(nil, 0), P10(0), P11(0), P13(0),
-		A1(),
+// registry lists every experiment in run order with its default and
+// -full sizes; workers is the P9 fan-out sweep (nil keeps its default).
+var registry = []struct {
+	id  string
+	run func(full bool, workers []int) Report
+}{
+	{"E1", fixed(E1)}, {"E2", fixed(E2)}, {"E3", fixed(E3)},
+	{"E4", fixed(E4)}, {"E5", fixed(E5)}, {"E6", fixed(E6)},
+	{"P1", sized(func() Report { return P1(nil, 0) }, func() Report { return P1([]int{4, 8, 16, 32}, 200) })},
+	{"P2", fixed(P2)},
+	{"P3", sized(func() Report { return P3(nil) }, func() Report { return P3([]int{100, 400, 1600, 6400}) })},
+	{"P5", sized(func() Report { return P5(nil) }, func() Report { return P5([]int{1000, 4000, 16000, 64000}) })},
+	{"P7", sized(func() Report { return P7(nil) }, func() Report { return P7([]int{100, 400, 1600}) })},
+	{"P8", sized(func() Report { return P8(0) }, func() Report { return P8(2000) })},
+	{"P9", func(full bool, workers []int) Report {
+		if full {
+			return P9(workers, 4000)
+		}
+		return P9(workers, 0)
+	}},
+	{"P10", sized(func() Report { return P10(0) }, func() Report { return P10(4000) })},
+	{"P11", sized(func() Report { return P11(0) }, func() Report { return P11(2000) })},
+	{"P13", sized(func() Report { return P13(0) }, func() Report { return P13(4000) })},
+	{"A1", fixed(A1)},
+}
+
+// fixed registers an experiment that has one size.
+func fixed(f func() Report) func(bool, []int) Report {
+	return func(bool, []int) Report { return f() }
+}
+
+// sized registers a performance study with a default and a -full size.
+func sized(quick, full func() Report) func(bool, []int) Report {
+	return func(f bool, _ []int) Report {
+		if f {
+			return full()
+		}
+		return quick()
 	}
 }
 
-// ByID runs a single experiment by identifier.
-func ByID(id string) (Report, bool) {
-	switch strings.ToUpper(id) {
-	case "E1":
-		return E1(), true
-	case "E2":
-		return E2(), true
-	case "E3":
-		return E3(), true
-	case "E4":
-		return E4(), true
-	case "E5":
-		return E5(), true
-	case "E6":
-		return E6(), true
-	case "P1":
-		return P1(nil, 0), true
-	case "P2":
-		return P2(), true
-	case "P3":
-		return P3(nil), true
-	case "P4":
-		return P4(nil, 0), true
-	case "P5":
-		return P5(nil), true
-	case "P6":
-		return P6(nil, 0), true
-	case "P7":
-		return P7(nil), true
-	case "P8":
-		return P8(0), true
-	case "P9":
-		return P9(nil, 0), true
-	case "P10":
-		return P10(0), true
-	case "P11":
-		return P11(0), true
-	case "P13":
-		return P13(0), true
-	case "A1":
-		return A1(), true
-	default:
-		return Report{}, false
+// Run runs one experiment by identifier (case-insensitive) at its
+// default or -full size; false means the id is unknown.
+func Run(id string, full bool, workers []int) (Report, bool) {
+	id = strings.ToUpper(strings.TrimSpace(id))
+	for _, e := range registry {
+		if e.id == id {
+			return e.run(full, workers), true
+		}
 	}
+	return Report{}, false
 }
 
 // IDs lists the experiment identifiers in run order.
 func IDs() []string {
-	ids := []string{"A1", "E1", "E2", "E3", "E4", "E5", "E6", "P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P9", "P10", "P11", "P13"}
-	sort.Strings(ids)
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
+	}
 	return ids
 }

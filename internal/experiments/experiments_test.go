@@ -34,9 +34,7 @@ func TestPerformanceStudiesSmall(t *testing.T) {
 		P1([]int{3, 4}, 5),
 		P2(),
 		P3([]int{20, 40}),
-		P4([]int{2000}, 20),
 		P5([]int{500}),
-		P6([]int{2000}, 20),
 		P7([]int{30}),
 		// P10 needs the default size: tiny sample counts auto-size the
 		// grid too coarse for any cell to sit fully inside a polygon,
@@ -54,17 +52,30 @@ func TestPerformanceStudiesSmall(t *testing.T) {
 	}
 }
 
+// TestByID checks the registry without running every experiment: ids
+// are unique and in run order, lookup is case-insensitive, and the
+// retired experiments are unknown.
 func TestByID(t *testing.T) {
-	for _, id := range []string{"E1", "e4"} {
-		if _, ok := ByID(id); !ok {
-			t.Errorf("ByID(%q) failed", id)
+	ids := IDs()
+	if len(ids) != 17 || ids[0] != "E1" || ids[len(ids)-1] != "A1" {
+		t.Errorf("IDs = %v", ids)
+	}
+	seen := map[string]bool{}
+	for _, id := range ids {
+		if seen[id] {
+			t.Errorf("duplicate id %q", id)
+		}
+		seen[id] = true
+	}
+	for _, id := range []string{"e4", " E1 "} {
+		if _, ok := Run(id, false, nil); !ok {
+			t.Errorf("Run(%q) failed", id)
 		}
 	}
-	if _, ok := ByID("Z9"); ok {
-		t.Error("unknown id accepted")
-	}
-	if len(IDs()) != 19 {
-		t.Errorf("IDs = %v", IDs())
+	for _, id := range []string{"P4", "P6", "P12", "Z9"} {
+		if _, ok := Run(id, false, nil); ok {
+			t.Errorf("retired or unknown id %q accepted", id)
+		}
 	}
 }
 

@@ -7,74 +7,10 @@ import (
 
 	"mogis/internal/geom"
 	"mogis/internal/moft"
-	"mogis/internal/sindex"
 	"mogis/internal/traj"
 	"mogis/internal/trajagg"
 	"mogis/internal/workload"
 )
-
-// P6 compares the distinct-object index against scans for "number of
-// distinct objects in region × interval" — the actual quantity the
-// paper's queries count ("number of buses", not samples).
-func P6(sampleCounts []int, queries int) Report {
-	if len(sampleCounts) == 0 {
-		sampleCounts = []int{10000, 40000, 160000}
-	}
-	if queries <= 0 {
-		queries = 200
-	}
-	var rows []Row
-	for _, n := range sampleCounts {
-		city := workload.GenCity(workload.CityConfig{Seed: 6, Cols: 8, Rows: 8})
-		fm := workload.GenTrajectories(city.Extent, workload.TrajConfig{
-			Seed: 6, Objects: n / 100, Samples: 100, Step: 60, Speed: 3,
-		})
-		samples := make([]sindex.OidSamplePoint, 0, fm.Len())
-		for _, tp := range fm.Tuples() {
-			samples = append(samples, sindex.OidSamplePoint{P: tp.Point(), T: int64(tp.T), Oid: int64(tp.Oid)})
-		}
-		t0 := time.Now()
-		idx := sindex.BuildDistinctIndex(samples, 64)
-		buildTime := time.Since(t0)
-
-		lo, hi, _ := fm.TimeSpan()
-		var idxTotal, scanTotal time.Duration
-		for q := 0; q < queries; q++ {
-			cx := city.Extent.MinX + float64(q%10)/10*city.Extent.Width()
-			cy := city.Extent.MinY + float64(q/10%10)/10*city.Extent.Height()
-			r := 60 + float64(q%7)*40
-			box := geom.BBox{MinX: cx - r, MinY: cy - r, MaxX: cx + r, MaxY: cy + r}
-			ta := int64(lo) + int64(q)*(int64(hi)-int64(lo))/int64(queries+1)
-			tb := ta + (int64(hi)-int64(lo))/4
-
-			s0 := time.Now()
-			got := idx.CountDistinct(box, ta, tb)
-			idxTotal += time.Since(s0)
-
-			s0 = time.Now()
-			want := sindex.CountDistinctNaive(samples, box, ta, tb)
-			scanTotal += time.Since(s0)
-
-			if got != want {
-				return Report{ID: "P6", Title: "distinct-object index",
-					Body: fmt.Sprintf("MISMATCH at query %d: %d vs %d", q, got, want)}
-			}
-		}
-		speedup := float64(scanTotal.Nanoseconds()) / math.Max(1, float64(idxTotal.Nanoseconds()))
-		rows = append(rows, Row{
-			Label: fmt.Sprintf("%d samples", len(samples)),
-			Values: []string{
-				fmtDur(buildTime),
-				fmtDur(idxTotal / time.Duration(queries)),
-				fmtDur(scanTotal / time.Duration(queries)),
-				fmt.Sprintf("%.1fx", speedup),
-			},
-		})
-	}
-	body := Table([]string{"workload", "build", "index/query", "scan/query", "speedup"}, rows)
-	body += "  expectation: distinct-object counts (the paper's \"number of buses\") also benefit from pre-aggregation\n"
-	return Report{ID: "P6", Title: "distinct-object counting: index vs scan", Body: body, Pass: true}
-}
 
 // P7 exercises trajectory aggregation (Meratnia & de By, Section 2 of
 // the paper) and SED compression: the pass-count surface must be

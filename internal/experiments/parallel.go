@@ -88,14 +88,7 @@ func P9(workerCounts []int, objects int) Report {
 	}
 
 	pass := true
-	mets := map[string]float64{
-		"objects":          float64(objects),
-		"samples":          float64(fm.Len()),
-		"gomaxprocs":       float64(runtime.GOMAXPROCS(0)),
-		"serial_ns_per_op": float64(serialDur.Nanoseconds()),
-	}
 	rows := []Row{{Label: "workers=1 (serial)", Values: []string{fmtDur(serialDur), "1.00x", "exact"}}}
-	best := serialDur
 	for _, w := range workerCounts {
 		if w <= 1 {
 			continue
@@ -110,10 +103,6 @@ func P9(workerCounts []int, objects int) Report {
 			ident = "MISMATCH"
 			pass = false
 		}
-		if dur < best {
-			best = dur
-		}
-		mets[fmt.Sprintf("parallel_ns_per_op_w%d", w)] = float64(dur.Nanoseconds())
 		rows = append(rows, Row{
 			Label: fmt.Sprintf("workers=%d", w),
 			Values: []string{
@@ -123,10 +112,8 @@ func P9(workerCounts []int, objects int) Report {
 			},
 		})
 	}
-	// The headline parallel number is its own timed run at the engine
-	// default (workers=0 → GOMAXPROCS), not an alias of the sweep's
-	// best: aliasing made parallel_ns_per_op identical to one of the
-	// w-sweep entries and hid regressions in the default path.
+	// The engine default (workers=0 → GOMAXPROCS) gets its own timed
+	// run, so a regression in the default path shows in its row.
 	eng.SetWorkers(0)
 	gotDef, defDur, err := run()
 	if err != nil {
@@ -137,9 +124,6 @@ func P9(workerCounts []int, objects int) Report {
 		identDef = "MISMATCH"
 		pass = false
 	}
-	if defDur < best {
-		best = defDur
-	}
 	rows = append(rows, Row{
 		Label: fmt.Sprintf("workers=default (GOMAXPROCS=%d)", runtime.GOMAXPROCS(0)),
 		Values: []string{
@@ -148,8 +132,6 @@ func P9(workerCounts []int, objects int) Report {
 			identDef,
 		},
 	})
-	mets["parallel_ns_per_op"] = float64(defDur.Nanoseconds())
-	mets["speedup"] = float64(serialDur) / float64(best)
 
 	// Prefilter effectiveness: a small corner region should prove most
 	// trajectory envelopes disjoint and skip them wholesale.
@@ -159,8 +141,6 @@ func P9(workerCounts []int, objects int) Report {
 	}
 	cand := met.PrefilterCandidates.Value() - cand0
 	skip := met.PrefilterSkipped.Value() - skip0
-	mets["prefilter_candidates"] = float64(cand)
-	mets["prefilter_skipped"] = float64(skip)
 
 	// Interval-cache effectiveness: the same polygon queried four
 	// times computes once and hits three times.
@@ -173,13 +153,10 @@ func P9(workerCounts []int, objects int) Report {
 	}
 	hits := met.IntervalCacheHits.Value() - h0
 	misses := met.IntervalCacheMisses.Value() - m0
-	mets["intervalcache_hits"] = float64(hits)
-	mets["intervalcache_misses"] = float64(misses)
 	hitRate := 0.0
 	if hits+misses > 0 {
 		hitRate = float64(hits) / float64(hits+misses)
 	}
-	mets["intervalcache_hit_rate"] = hitRate
 	if hits < 1 {
 		pass = false
 	}
@@ -193,11 +170,10 @@ func P9(workerCounts []int, objects int) Report {
 		runtime.GOMAXPROCS(0))
 	body += "  parallel results exactly identical to serial and a nonzero cache hit rate\n"
 	return Report{
-		ID:      "P9",
-		Title:   "parallel trajectory query path: scaling, prefilter, interval cache",
-		Body:    body,
-		Pass:    pass,
-		Metrics: mets,
+		ID:    "P9",
+		Title: "parallel trajectory query path: scaling, prefilter, interval cache",
+		Body:  body,
+		Pass:  pass,
 	}
 }
 

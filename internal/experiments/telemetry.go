@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"time"
 
 	"mogis/internal/obs"
@@ -106,13 +105,5 @@ func P11(iters int) Report {
 	return Report{
 		ID: "P11", Title: "always-on telemetry overhead on the Remark-1 query",
 		Body: body, Pass: pass,
-		Metrics: map[string]float64{
-			"gomaxprocs":           float64(runtime.GOMAXPROCS(0)),
-			"ns_per_op_off":        float64(off.Nanoseconds()) / float64(iters),
-			"ns_per_op_on":         float64(on.Nanoseconds()) / float64(iters),
-			"overhead_pct":         overhead,
-			"records_while_on":     float64(recorded),
-			"ns_per_op_on_and_log": float64(best["telemetry on + query log"].Nanoseconds()) / float64(iters),
-		},
 	}
 }

@@ -42,15 +42,6 @@ func BenchmarkRTreeSearchLinearBaseline(b *testing.B) {
 	}
 }
 
-func BenchmarkRTreeInsert(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	tr := NewRTree(DefaultFanout)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Insert(boxAround(rng.Float64()*10000, rng.Float64()*10000, 5), int64(i))
-	}
-}
-
 func BenchmarkRTreeNearest(b *testing.B) {
 	tr, _ := benchTree(100000)
 	b.ResetTimer()
@@ -75,14 +66,5 @@ func BenchmarkPointLocator(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 		loc.Locate(p, nil)
-	}
-}
-
-func BenchmarkAggQuadTreeBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	samples := randomSamples(rng, 50000, 100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildAggQuadTree(samples, AggConfig{})
 	}
 }

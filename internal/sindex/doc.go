@@ -1,8 +1,5 @@
-// Package sindex provides spatial and spatio-temporal indexing for
-// the moving-objects GIS-OLAP system: an R-tree with both STR bulk
-// loading and dynamic quadratic-split insertion, a uniform grid index
-// for point location, and an aggregate spatio-temporal grid in the
-// spirit of the historical-aggregate indexes of Papadias et al.
-// (IEEE Data Eng. Bull. 2002), which the paper cites as the
-// pre-aggregation baseline for moving-object counts.
+// Package sindex provides spatial indexing for the moving-objects
+// GIS-OLAP system: an STR bulk-loaded R-tree with k-nearest-neighbour
+// search, and a uniform grid index for point location. The
+// pre-aggregated spatio-temporal counts live in internal/agggrid.
 package sindex

@@ -9,13 +9,10 @@ import (
 )
 
 func TestNearestBasic(t *testing.T) {
-	tr := NewRTree(4)
 	pts := []geom.Point{
 		geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(0, 10), geom.Pt(50, 50), geom.Pt(51, 50),
 	}
-	for i, p := range pts {
-		tr.Insert(geom.NewBBox(p), int64(i))
-	}
+	tr := bulkBoxes(4, len(pts), func(i int) geom.BBox { return geom.NewBBox(pts[i]) })
 	got := tr.Nearest(geom.Pt(49, 50), 2)
 	if len(got) != 2 || got[0].ID != 3 || got[1].ID != 4 {
 		t.Errorf("Nearest = %+v", got)
@@ -37,7 +34,7 @@ func TestNearestBasic(t *testing.T) {
 	if got := tr.Nearest(geom.Pt(0, 0), 0); got != nil {
 		t.Error("k=0 should return nil")
 	}
-	if got := NewRTree(4).Nearest(geom.Pt(0, 0), 3); got != nil {
+	if got := BulkLoad(nil, 4).Nearest(geom.Pt(0, 0), 3); got != nil {
 		t.Error("empty tree should return nil")
 	}
 }

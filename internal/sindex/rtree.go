@@ -28,13 +28,12 @@ func (b boxOnly) BBox() geom.BBox { return geom.BBox(b) }
 // Box wraps a raw bounding box as a BBoxer.
 func Box(b geom.BBox) BBoxer { return boxOnly(b) }
 
-// RTree is an in-memory R-tree over 2-D bounding boxes. Zero value is
-// not usable; construct with NewRTree or BulkLoad.
+// RTree is an in-memory R-tree over 2-D bounding boxes, packed once
+// by BulkLoad and read-only afterwards. Zero value is not usable.
 type RTree struct {
 	root      *rnode
 	size      int
 	maxFanout int
-	minFanout int
 }
 
 type rnode struct {
@@ -52,185 +51,11 @@ type rentry struct {
 // DefaultFanout is the default maximum node fanout.
 const DefaultFanout = 16
 
-// NewRTree returns an empty R-tree with the given maximum fanout
-// (minimum 4; values below are raised).
-func NewRTree(fanout int) *RTree {
-	if fanout < 4 {
-		fanout = 4
-	}
-	return &RTree{
-		root:      &rnode{leaf: true, box: geom.EmptyBBox()},
-		maxFanout: fanout,
-		minFanout: fanout * 2 / 5,
-	}
-}
-
 // Len returns the number of indexed entries.
 func (t *RTree) Len() int { return t.size }
 
 // Bounds returns the bounding box of all entries.
 func (t *RTree) Bounds() geom.BBox { return t.root.box }
-
-// Insert adds an entry with the given box and id.
-func (t *RTree) Insert(box geom.BBox, id int64) {
-	if box.IsEmpty() {
-		return
-	}
-	t.size++
-	split := t.insert(t.root, box, id)
-	if split != nil {
-		old := t.root
-		t.root = &rnode{
-			leaf:     false,
-			children: []*rnode{old, split},
-			box:      old.box.Union(split.box),
-		}
-	}
-}
-
-func (t *RTree) insert(n *rnode, box geom.BBox, id int64) *rnode {
-	n.box = n.box.Union(box)
-	if n.leaf {
-		n.entries = append(n.entries, rentry{box: box, id: id})
-		if len(n.entries) > t.maxFanout {
-			return t.splitLeaf(n)
-		}
-		return nil
-	}
-	best := chooseSubtree(n.children, box)
-	split := t.insert(n.children[best], box, id)
-	if split != nil {
-		n.children = append(n.children, split)
-		if len(n.children) > t.maxFanout {
-			return t.splitInternal(n)
-		}
-	}
-	return nil
-}
-
-// chooseSubtree picks the child needing least area enlargement,
-// breaking ties by smaller area.
-func chooseSubtree(children []*rnode, box geom.BBox) int {
-	best := 0
-	bestEnl := math.Inf(1)
-	bestArea := math.Inf(1)
-	for i, c := range children {
-		enl := c.box.Union(box).Area() - c.box.Area()
-		area := c.box.Area()
-		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestEnl, bestArea = i, enl, area
-		}
-	}
-	return best
-}
-
-// splitLeaf splits an overfull leaf with the quadratic method,
-// returning the new sibling.
-func (t *RTree) splitLeaf(n *rnode) *rnode {
-	boxes := make([]geom.BBox, len(n.entries))
-	for i, e := range n.entries {
-		boxes[i] = e.box
-	}
-	ga, gb := quadraticSplit(boxes, t.minFanout)
-	oldEntries := n.entries
-	n.entries = nil
-	n.box = geom.EmptyBBox()
-	sib := &rnode{leaf: true, box: geom.EmptyBBox()}
-	for _, i := range ga {
-		n.entries = append(n.entries, oldEntries[i])
-		n.box = n.box.Union(oldEntries[i].box)
-	}
-	for _, i := range gb {
-		sib.entries = append(sib.entries, oldEntries[i])
-		sib.box = sib.box.Union(oldEntries[i].box)
-	}
-	return sib
-}
-
-// splitInternal splits an overfull internal node, returning the new
-// sibling.
-func (t *RTree) splitInternal(n *rnode) *rnode {
-	boxes := make([]geom.BBox, len(n.children))
-	for i, c := range n.children {
-		boxes[i] = c.box
-	}
-	ga, gb := quadraticSplit(boxes, t.minFanout)
-	oldChildren := n.children
-	n.children = nil
-	n.box = geom.EmptyBBox()
-	sib := &rnode{leaf: false, box: geom.EmptyBBox()}
-	for _, i := range ga {
-		n.children = append(n.children, oldChildren[i])
-		n.box = n.box.Union(oldChildren[i].box)
-	}
-	for _, i := range gb {
-		sib.children = append(sib.children, oldChildren[i])
-		sib.box = sib.box.Union(oldChildren[i].box)
-	}
-	return sib
-}
-
-// quadraticSplit partitions box indices into two groups using
-// Guttman's quadratic seeds, respecting the minimum group size.
-func quadraticSplit(boxes []geom.BBox, minSize int) (ga, gb []int) {
-	n := len(boxes)
-	// Seeds: the pair wasting the most area together.
-	si, sj := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := boxes[i].Union(boxes[j]).Area() - boxes[i].Area() - boxes[j].Area()
-			if d > worst {
-				worst, si, sj = d, i, j
-			}
-		}
-	}
-	ga = []int{si}
-	gb = []int{sj}
-	boxA, boxB := boxes[si], boxes[sj]
-	assigned := make([]bool, n)
-	assigned[si], assigned[sj] = true, true
-	for remaining := n - 2; remaining > 0; remaining-- {
-		// Force-assign to honor minimum sizes.
-		if len(ga)+remaining == minSize || len(ga) >= n-minSize {
-			for i := 0; i < n; i++ {
-				if !assigned[i] {
-					target := &gb
-					if len(ga)+remaining == minSize {
-						target = &ga
-					}
-					*target = append(*target, i)
-					assigned[i] = true
-				}
-			}
-			return ga, gb
-		}
-		// Pick the unassigned box with maximal preference difference.
-		best := -1
-		bestDiff := math.Inf(-1)
-		var bestDA, bestDB float64
-		for i := 0; i < n; i++ {
-			if assigned[i] {
-				continue
-			}
-			da := boxA.Union(boxes[i]).Area() - boxA.Area()
-			db := boxB.Union(boxes[i]).Area() - boxB.Area()
-			diff := math.Abs(da - db)
-			if diff > bestDiff {
-				best, bestDiff, bestDA, bestDB = i, diff, da, db
-			}
-		}
-		assigned[best] = true
-		if bestDA < bestDB || (bestDA == bestDB && len(ga) <= len(gb)) {
-			ga = append(ga, best)
-			boxA = boxA.Union(boxes[best])
-		} else {
-			gb = append(gb, best)
-			boxB = boxB.Union(boxes[best])
-		}
-	}
-	return ga, gb
-}
 
 // Search appends to dst the ids of all entries whose boxes intersect
 // query, and returns dst.
@@ -313,16 +138,23 @@ func (t *RTree) Height() int {
 }
 
 // BulkLoad builds an R-tree from entries with the Sort-Tile-Recursive
-// (STR) packing algorithm, producing near-optimal leaves.
+// (STR) packing algorithm, producing near-optimal leaves. The fanout
+// is raised to at least 4. Entries with an empty box are skipped: no
+// query can intersect them.
 func BulkLoad(entries []Entry, fanout int) *RTree {
-	t := NewRTree(fanout)
-	if len(entries) == 0 {
-		return t
+	if fanout < 4 {
+		fanout = 4
 	}
-	t.size = len(entries)
-	leavesIn := make([]rentry, len(entries))
-	for i, e := range entries {
-		leavesIn[i] = rentry{box: e.Box.BBox(), id: e.ID}
+	t := &RTree{root: &rnode{leaf: true, box: geom.EmptyBBox()}, maxFanout: fanout}
+	leavesIn := make([]rentry, 0, len(entries))
+	for _, e := range entries {
+		if box := e.Box.BBox(); !box.IsEmpty() {
+			leavesIn = append(leavesIn, rentry{box: box, id: e.ID})
+		}
+	}
+	t.size = len(leavesIn)
+	if t.size == 0 {
+		return t
 	}
 	leaves := strPackLeaves(leavesIn, t.maxFanout)
 	level := leaves

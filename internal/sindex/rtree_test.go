@@ -1,6 +1,7 @@
 package sindex
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -12,8 +13,17 @@ func boxAround(x, y, r float64) geom.BBox {
 	return geom.BBox{MinX: x - r, MinY: y - r, MaxX: x + r, MaxY: y + r}
 }
 
+// bulkBoxes bulk-loads n entries whose i-th box is box(i) and id i.
+func bulkBoxes(fanout, n int, box func(i int) geom.BBox) *RTree {
+	entries := make([]Entry, n)
+	for i := range entries {
+		entries[i] = Entry{Box: Box(box(i)), ID: int64(i)}
+	}
+	return BulkLoad(entries, fanout)
+}
+
 func TestRTreeEmpty(t *testing.T) {
-	tr := NewRTree(8)
+	tr := BulkLoad(nil, 8)
 	if tr.Len() != 0 {
 		t.Errorf("Len = %d", tr.Len())
 	}
@@ -26,12 +36,9 @@ func TestRTreeEmpty(t *testing.T) {
 }
 
 func TestRTreeInsertSearch(t *testing.T) {
-	tr := NewRTree(4)
-	for i := 0; i < 100; i++ {
-		x := float64(i % 10)
-		y := float64(i / 10)
-		tr.Insert(boxAround(x*10, y*10, 1), int64(i))
-	}
+	tr := bulkBoxes(4, 100, func(i int) geom.BBox {
+		return boxAround(float64(i%10)*10, float64(i/10)*10, 1)
+	})
 	if tr.Len() != 100 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
@@ -50,35 +57,31 @@ func TestRTreeInsertSearch(t *testing.T) {
 }
 
 func TestRTreeIgnoresEmptyBox(t *testing.T) {
-	tr := NewRTree(4)
-	tr.Insert(geom.EmptyBBox(), 1)
-	if tr.Len() != 0 {
-		t.Error("empty box should not be inserted")
+	tr := BulkLoad([]Entry{
+		{Box: Box(geom.EmptyBBox()), ID: 1},
+		{Box: Box(boxAround(5, 5, 1)), ID: 2},
+	}, 4)
+	if tr.Len() != 1 {
+		t.Errorf("Len = %d, want 1: an empty box should be skipped", tr.Len())
+	}
+	got := tr.Search(geom.BBox{MinX: -1e9, MinY: -1e9, MaxX: 1e9, MaxY: 1e9}, nil)
+	if len(got) != 1 || got[0] != 2 {
+		t.Errorf("full search = %v, want [2]", got)
 	}
 }
 
-// TestRTreeAgainstLinearScan cross-validates random workloads.
+// TestRTreeAgainstLinearScan cross-validates random workloads at
+// several fanouts; fanout 1 is raised to the minimum of 4.
 func TestRTreeAgainstLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, build := range []string{"dynamic", "bulk"} {
-		t.Run(build, func(t *testing.T) {
+	for _, fanout := range []int{1, 4, 8, 16} {
+		t.Run(fmt.Sprintf("fanout=%d", fanout), func(t *testing.T) {
 			n := 500
 			boxes := make([]geom.BBox, n)
-			var tr *RTree
-			if build == "dynamic" {
-				tr = NewRTree(8)
-				for i := range boxes {
-					boxes[i] = boxAround(rng.Float64()*1000, rng.Float64()*1000, rng.Float64()*5)
-					tr.Insert(boxes[i], int64(i))
-				}
-			} else {
-				entries := make([]Entry, n)
-				for i := range boxes {
-					boxes[i] = boxAround(rng.Float64()*1000, rng.Float64()*1000, rng.Float64()*5)
-					entries[i] = Entry{Box: Box(boxes[i]), ID: int64(i)}
-				}
-				tr = BulkLoad(entries, 8)
+			for i := range boxes {
+				boxes[i] = boxAround(rng.Float64()*1000, rng.Float64()*1000, rng.Float64()*5)
 			}
+			tr := bulkBoxes(fanout, n, func(i int) geom.BBox { return boxes[i] })
 			if tr.Len() != n {
 				t.Fatalf("Len = %d", tr.Len())
 			}
@@ -106,10 +109,7 @@ func TestRTreeAgainstLinearScan(t *testing.T) {
 }
 
 func TestRTreeVisitEarlyStop(t *testing.T) {
-	tr := NewRTree(4)
-	for i := 0; i < 50; i++ {
-		tr.Insert(boxAround(float64(i), 0, 0.4), int64(i))
-	}
+	tr := bulkBoxes(4, 50, func(i int) geom.BBox { return boxAround(float64(i), 0, 0.4) })
 	count := 0
 	tr.Visit(geom.BBox{MinX: -1, MinY: -1, MaxX: 100, MaxY: 1}, func(_ geom.BBox, _ int64) bool {
 		count++
@@ -138,25 +138,13 @@ func TestRTreeBulkLoadSmall(t *testing.T) {
 }
 
 func TestRTreeHeightGrowth(t *testing.T) {
-	tr := NewRTree(4)
-	for i := 0; i < 1000; i++ {
-		tr.Insert(boxAround(float64(i%100), float64(i/100), 0.4), int64(i))
-	}
+	tr := bulkBoxes(4, 1000, func(i int) geom.BBox {
+		return boxAround(float64(i%100), float64(i/100), 0.4)
+	})
 	if h := tr.Height(); h < 3 {
 		t.Errorf("Height = %d, want >= 3 for 1000 entries at fanout 4", h)
 	}
 	if !tr.Bounds().ContainsPoint(geom.Pt(50, 5)) {
 		t.Error("Bounds should cover inserted area")
-	}
-}
-
-func TestRTreeMinFanoutClamp(t *testing.T) {
-	tr := NewRTree(1) // raised to 4
-	for i := 0; i < 20; i++ {
-		tr.Insert(boxAround(float64(i), 0, 0.3), int64(i))
-	}
-	got := tr.Search(geom.BBox{MinX: -1, MinY: -1, MaxX: 30, MaxY: 1}, nil)
-	if len(got) != 20 {
-		t.Errorf("search returned %d of 20", len(got))
 	}
 }
