@@ -30,10 +30,11 @@ race:
 
 # The concurrency-sensitive packages, twice, under the race detector:
 # the engine's concurrent stress tests plus the grid/columnar cache
-# paths with interleaved invalidations, and the shared-read index and
-# overlay structures.
+# paths with interleaved invalidations, the shared-read index and
+# overlay structures, and the MOFT versions that share object runs
+# (readers of one version while a writer derives the next ones).
 race-engine:
-	$(GO) test -race -count=2 ./internal/core/... ./internal/sindex/... ./internal/overlay/...
+	$(GO) test -race -count=2 ./internal/core/... ./internal/sindex/... ./internal/overlay/... ./internal/moft/...
 
 # The telemetry service under the race detector: the collector's
 # windowed histograms and rings, the HTTP exposition handlers reading
@@ -88,12 +89,14 @@ vet-strict: vet
 		./...
 
 # Each fuzz target for 10s: point-in-polygon vs the grid-verify scan
-# oracle, the Piet-QL parser's no-panic guarantee, and the grouped
-# region-set count's grid route vs its scan route.
+# oracle, the Piet-QL parser's no-panic guarantee, the grouped
+# region-set count's grid route vs its scan route, and MOFT appends
+# (accept/reject rule and rebuilt-table identity).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzPointInPolygon -fuzztime=10s ./internal/geom/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/pietql/
 	$(GO) test -run=NONE -fuzz=FuzzGroupedCount -fuzztime=10s ./internal/core/
+	$(GO) test -run=NONE -fuzz=FuzzWithAppended -fuzztime=10s ./internal/moft/
 
 cover:
 	$(GO) test -cover ./...

@@ -109,7 +109,7 @@ func (t *Table) ColumnsCtx(ctx context.Context) (*Columns, error) {
 	if c := t.cols.Load(); c != nil {
 		return c, nil
 	}
-	c, err := buildColumns(ctx, t.tuples)
+	c, err := buildColumns(ctx, t.runs, t.n)
 	if err != nil {
 		return nil, err
 	}
@@ -117,39 +117,42 @@ func (t *Table) ColumnsCtx(ctx context.Context) (*Columns, error) {
 	return c, nil
 }
 
-// buildColumns decomposes (Oid, t)-sorted tuples into column slices,
-// observing ctx every few thousand rows.
-func buildColumns(ctx context.Context, tuples []Tuple) (*Columns, error) {
-	n := len(tuples)
+// buildColumns decomposes n rows held in (Oid-sorted, time-sorted)
+// runs into column slices, observing ctx every few thousand rows.
+func buildColumns(ctx context.Context, runs []objRun, n int) (*Columns, error) {
 	c := &Columns{
-		Obj: make([]int32, n),
-		T:   make([]int64, n),
-		X:   make([]float64, n),
-		Y:   make([]float64, n),
-		box: geom.EmptyBBox(),
+		Oids:   make([]Oid, len(runs)),
+		Starts: make([]int32, len(runs)+1),
+		Obj:    make([]int32, n),
+		T:      make([]int64, n),
+		X:      make([]float64, n),
+		Y:      make([]float64, n),
+		box:    geom.EmptyBBox(),
 	}
-	for i, tp := range tuples {
-		if i%4096 == 4095 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	i := 0
+	for k, r := range runs {
+		c.Oids[k] = r.oid
+		c.Starts[k] = int32(i)
+		for _, tp := range r.rows {
+			if i%4096 == 4095 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
 			}
+			c.Obj[i] = int32(k)
+			c.T[i] = int64(tp.T)
+			c.X[i] = tp.X
+			c.Y[i] = tp.Y
+			if i == 0 || c.T[i] < c.minT {
+				c.minT = c.T[i]
+			}
+			if i == 0 || c.T[i] > c.maxT {
+				c.maxT = c.T[i]
+			}
+			c.box = c.box.ExtendPoint(geom.Pt(tp.X, tp.Y))
+			i++
 		}
-		if i == 0 || tp.Oid != tuples[i-1].Oid {
-			c.Oids = append(c.Oids, tp.Oid)
-			c.Starts = append(c.Starts, int32(i))
-		}
-		c.Obj[i] = int32(len(c.Oids) - 1)
-		c.T[i] = int64(tp.T)
-		c.X[i] = tp.X
-		c.Y[i] = tp.Y
-		if i == 0 || c.T[i] < c.minT {
-			c.minT = c.T[i]
-		}
-		if i == 0 || c.T[i] > c.maxT {
-			c.maxT = c.T[i]
-		}
-		c.box = c.box.ExtendPoint(geom.Pt(tp.X, tp.Y))
 	}
-	c.Starts = append(c.Starts, int32(n))
+	c.Starts[len(runs)] = int32(n)
 	return c, nil
 }

@@ -33,26 +33,49 @@ type Tuple struct {
 // Point returns the spatial coordinates of the tuple.
 func (tp Tuple) Point() geom.Point { return geom.Pt(tp.X, tp.Y) }
 
-// Table is a Moving Object Fact Table. Loading (Add/AddTuple) is
-// single-threaded; once loaded, any number of goroutines may read
-// concurrently — the lazy (Oid, t) sort is double-checked behind a
-// mutex so the first concurrent readers race only for the lock, not
-// the data.
+// Table is a Moving Object Fact Table, stored as per-object runs: one
+// run per Oid, in ascending Oid order, each holding that object's
+// samples in time order.
+//
+// Loading (Add/AddTuple) is single-threaded: rows wait in a pending
+// buffer that the first read sorts once by (Oid, t) and cuts into runs
+// in place. Once loaded, any number of goroutines may read
+// concurrently — the lazy sort is double-checked behind a mutex so the
+// first concurrent readers race only for the lock, not the data.
+//
+// Live appends never write a table: WithAppended derives a new
+// version that shares every run the batch does not touch, so versions
+// are immutable values and a reader keeps a consistent table for as
+// long as it holds one.
 type Table struct {
-	name   string
-	mu     sync.Mutex // guards the lazy sort and columnar build
-	tuples []Tuple
-	sorted atomic.Bool
-	// objIndex maps each Oid to its [start, end) range in tuples;
-	// rebuilt lazily after sorting.
-	objIndex map[Oid][2]int
-	// cols is the lazily built columnar snapshot; cleared on mutation.
+	name string
+	mu   sync.Mutex // guards the lazy sort and the flat and columnar builds
+	// pending holds the loaded rows until the first read sorts them;
+	// nil once sorted.
+	pending []Tuple
+	sorted  atomic.Bool
+	n       int
+	// runs is the per-object layout, valid once sorted. Runs may be
+	// shared with other versions and must never be written.
+	runs []objRun
+	// flat is the (Oid, t)-sorted slice behind Tuples: the sort buffer
+	// itself after a load, flattened lazily for a derived version.
+	flat atomic.Pointer[[]Tuple]
+	// cols is the lazily built columnar snapshot.
 	cols atomic.Pointer[Columns]
+}
+
+// objRun is one object's samples, sorted by t. Its capacity equals its
+// length, so an append by a careless reader can never write into a
+// neighbouring run.
+type objRun struct {
+	oid  Oid
+	rows []Tuple
 }
 
 // New creates an empty MOFT with the given name (e.g. "FMbus").
 func New(name string) *Table {
-	t := &Table{name: name, objIndex: map[Oid][2]int{}}
+	t := &Table{name: name}
 	t.sorted.Store(true)
 	return t
 }
@@ -61,25 +84,43 @@ func New(name string) *Table {
 func (t *Table) Name() string { return t.name }
 
 // Len returns the number of tuples.
-func (t *Table) Len() int { return len(t.tuples) }
+func (t *Table) Len() int { return t.n }
 
 // Add appends a tuple.
 func (t *Table) Add(oid Oid, ts timedim.Instant, x, y float64) {
-	t.tuples = append(t.tuples, Tuple{Oid: oid, T: ts, X: x, Y: y})
-	t.sorted.Store(false)
-	t.cols.Store(nil)
+	t.AddTuple(Tuple{Oid: oid, T: ts, X: x, Y: y})
 }
 
-// AddTuple appends a prebuilt tuple.
+// AddTuple appends a prebuilt tuple. Adding to a table that has
+// already been read first copies its rows into a private buffer: its
+// runs may be shared with derived versions and with slices handed out
+// to readers, and the next sort must not reorder them. While the table
+// is unsorted no snapshot can exist, so only the first Add after a
+// read clears them.
 func (t *Table) AddTuple(tp Tuple) {
-	t.tuples = append(t.tuples, tp)
-	t.sorted.Store(false)
-	t.cols.Store(nil)
+	if t.sorted.Load() {
+		if t.n > 0 {
+			t.pending = appendRuns(make([]Tuple, 0, 2*t.n), t.runs)
+		}
+		t.sorted.Store(false)
+		t.flat.Store(nil)
+		t.cols.Store(nil)
+	}
+	t.pending = append(t.pending, tp)
+	t.n++
 }
 
-// ensureSorted sorts by (Oid, t) and rebuilds the per-object index.
-// Safe to call from concurrent readers: the atomic fast path avoids
-// the lock once sorted.
+// appendRuns appends the rows of runs to dst in run order.
+func appendRuns(dst []Tuple, runs []objRun) []Tuple {
+	for _, r := range runs {
+		dst = append(dst, r.rows...)
+	}
+	return dst
+}
+
+// ensureSorted sorts the pending rows by (Oid, t) and cuts them into
+// runs. Safe to call from concurrent readers: the atomic fast path
+// avoids the lock once sorted.
 func (t *Table) ensureSorted() {
 	if t.sorted.Load() {
 		return
@@ -89,39 +130,55 @@ func (t *Table) ensureSorted() {
 	if t.sorted.Load() {
 		return
 	}
-	sort.SliceStable(t.tuples, func(i, j int) bool {
-		a, b := t.tuples[i], t.tuples[j]
+	all := t.pending
+	sort.SliceStable(all, func(i, j int) bool {
+		a, b := all[i], all[j]
 		if a.Oid != b.Oid {
 			return a.Oid < b.Oid
 		}
 		return a.T < b.T
 	})
-	t.objIndex = make(map[Oid][2]int)
+	obs.Std.MOFTSorts.Inc()
+	var runs []objRun
 	start := 0
-	for i := 1; i <= len(t.tuples); i++ {
-		if i == len(t.tuples) || t.tuples[i].Oid != t.tuples[start].Oid {
-			t.objIndex[t.tuples[start].Oid] = [2]int{start, i}
+	for i := 1; i <= len(all); i++ {
+		if i == len(all) || all[i].Oid != all[start].Oid {
+			runs = append(runs, objRun{oid: all[start].Oid, rows: all[start:i:i]})
 			start = i
 		}
 	}
+	t.runs, t.pending = runs, nil
+	t.flat.Store(&all)
 	t.sorted.Store(true)
 }
 
 // Tuples returns all tuples sorted by (Oid, t). The returned slice is
 // shared; callers must not mutate it.
 func (t *Table) Tuples() []Tuple {
+	if p := t.flat.Load(); p != nil {
+		return *p
+	}
 	t.ensureSorted()
-	return t.tuples
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if p := t.flat.Load(); p != nil {
+		return *p
+	}
+	var all []Tuple
+	if t.n > 0 {
+		all = appendRuns(make([]Tuple, 0, t.n), t.runs)
+	}
+	t.flat.Store(&all)
+	return all
 }
 
 // Objects returns the distinct object identifiers, sorted.
 func (t *Table) Objects() []Oid {
 	t.ensureSorted()
-	out := make([]Oid, 0, len(t.objIndex))
-	for o := range t.objIndex {
-		out = append(out, o)
+	out := make([]Oid, len(t.runs))
+	for i, r := range t.runs {
+		out[i] = r.oid
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -129,37 +186,38 @@ func (t *Table) Objects() []Oid {
 // slice).
 func (t *Table) ObjectTuples(o Oid) []Tuple {
 	t.ensureSorted()
-	r, ok := t.objIndex[o]
-	if !ok {
-		return nil
+	i := sort.Search(len(t.runs), func(i int) bool { return t.runs[i].oid >= o })
+	if i < len(t.runs) && t.runs[i].oid == o {
+		return t.runs[i].rows
 	}
-	return t.tuples[r[0]:r[1]]
+	return nil
 }
 
 // TimeSpan returns the minimum and maximum instants present, with
-// ok=false for an empty table.
+// ok=false for an empty table. Runs are time-sorted, so only their
+// ends are read.
 func (t *Table) TimeSpan() (lo, hi timedim.Instant, ok bool) {
-	if len(t.tuples) == 0 {
-		return 0, 0, false
-	}
-	first := true
-	for _, tp := range t.tuples {
-		if first || tp.T < lo {
-			lo = tp.T
+	t.ensureSorted()
+	for i, r := range t.runs {
+		first, last := r.rows[0].T, r.rows[len(r.rows)-1].T
+		if i == 0 || first < lo {
+			lo = first
 		}
-		if first || tp.T > hi {
-			hi = tp.T
+		if i == 0 || last > hi {
+			hi = last
 		}
-		first = false
 	}
-	return lo, hi, true
+	return lo, hi, len(t.runs) > 0
 }
 
 // BBox returns the spatial bounding box of all samples.
 func (t *Table) BBox() geom.BBox {
+	t.ensureSorted()
 	b := geom.EmptyBBox()
-	for _, tp := range t.tuples {
-		b = b.ExtendPoint(tp.Point())
+	for _, r := range t.runs {
+		for _, tp := range r.rows {
+			b = b.ExtendPoint(tp.Point())
+		}
 	}
 	return b
 }
@@ -170,10 +228,12 @@ func (t *Table) Scan(f func(Tuple) bool) {
 	t.ensureSorted()
 	n := int64(0)
 	defer func() { obs.Std.MOFTTuplesScanned.Add(n) }()
-	for _, tp := range t.tuples {
-		n++
-		if !f(tp) {
-			return
+	for _, r := range t.runs {
+		for _, tp := range r.rows {
+			n++
+			if !f(tp) {
+				return
+			}
 		}
 	}
 }
@@ -184,8 +244,8 @@ func (t *Table) ScanInterval(iv timedim.Interval, f func(Tuple) bool) {
 	t.ensureSorted()
 	n := int64(0)
 	defer func() { obs.Std.MOFTTuplesScanned.Add(n) }()
-	for _, o := range t.Objects() {
-		tps := t.ObjectTuples(o)
+	for _, r := range t.runs {
+		tps := r.rows
 		i := sort.Search(len(tps), func(i int) bool { return tps[i].T >= iv.Lo })
 		for ; i < len(tps) && tps[i].T <= iv.Hi; i++ {
 			n++

@@ -31,6 +31,7 @@ type Metrics struct {
 	// Spatial index and fact-table scan volume.
 	SindexNodeVisits  *Counter
 	MOFTTuplesScanned *Counter
+	MOFTSorts         *Counter // (Oid, t) sorts of loaded rows; ingest never sorts
 
 	// Trajectory-query spatial prefilter: per-table R-tree over
 	// trajectory bounding boxes. Candidates survive the envelope test
@@ -96,6 +97,7 @@ func NewMetrics(r *Registry) *Metrics {
 
 		SindexNodeVisits:  r.Counter("mogis_sindex_node_visits_total", "R-tree nodes visited during searches"),
 		MOFTTuplesScanned: r.Counter("mogis_moft_tuples_scanned_total", "MOFT tuples delivered by scans"),
+		MOFTSorts:         r.Counter("mogis_moft_sorts_total", "MOFT pending-row sorts on first read after loading"),
 
 		PrefilterCandidates: r.Counter("mogis_prefilter_candidates_total", "objects surviving the trajectory-bbox prefilter"),
 		PrefilterSkipped:    r.Counter("mogis_prefilter_skipped_total", "objects skipped by the trajectory-bbox prefilter"),

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -20,17 +21,20 @@ const maxIngestBody = 8 << 20
 type ingestResponse struct {
 	ID    uint64 `json:"id"`
 	Table string `json:"table"`
-	// Rows is the number of position updates applied.
+	// Rows is the number of position updates applied: the batch
+	// without rows that repeat a stored sample or an earlier row.
 	Rows int `json:"rows"`
 	// Events is the number of geofence events the batch published.
 	Events int `json:"events"`
 }
 
 // handleIngest streams position updates — CSV lines "oid,t,x,y" —
-// into the named MOFT. The table is replaced copy-on-write (the MOFT
-// loading contract is single-threaded, so in-flight queries keep
-// reading the old immutable table), engine trajectory caches are
-// invalidated, and each applied row is folded into the geofence hub.
+// into the named MOFT. The table is replaced by a new version that
+// shares every object run the batch does not touch (in-flight queries
+// keep reading the old immutable version), engine trajectory caches
+// are invalidated, and each applied row is folded into the geofence
+// hub. A batch that would make the MOFT stop being a function, or
+// rewrite an object's past, is rejected whole with a typed 422.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, id uint64) error {
 	table := r.URL.Query().Get("table")
 	if table == "" {
@@ -39,6 +43,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, id uint64)
 	}
 
 	var rows []moft.Tuple
+	var lines []int // per row, its line in the body
 	sc := bufio.NewScanner(http.MaxBytesReader(nil, r.Body, maxIngestBody))
 	line := 0
 	for sc.Scan() {
@@ -53,6 +58,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, id uint64)
 				err: fmt.Errorf("line %d: %w", line, err)}
 		}
 		rows = append(rows, tp)
+		lines = append(lines, line)
 	}
 	if err := sc.Err(); err != nil {
 		return &httpError{status: http.StatusBadRequest, code: "bad_request",
@@ -63,13 +69,23 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, id uint64)
 			err: fmt.Errorf("empty batch: no position updates in body")}
 	}
 
-	events, err := s.applyIngest(table, rows)
+	applied, events, err := s.applyIngest(table, rows)
+	var ae *moft.AppendError
+	if errors.As(err, &ae) {
+		s.met.ingestRejected.Inc()
+		code := "out_of_order"
+		if errors.Is(ae, moft.ErrConflictingSample) {
+			code = "conflicting_sample"
+		}
+		return &httpError{status: http.StatusUnprocessableEntity, code: code,
+			err: fmt.Errorf("line %d: oid %d at t %d: %w", lines[ae.Row], ae.Tuple.Oid, ae.Tuple.T, ae.Err)}
+	}
 	if err != nil {
 		return err
 	}
-	s.met.ingestRows.Add(int64(len(rows)))
+	s.met.ingestRows.Add(int64(applied))
 	return writeJSON(w, http.StatusOK, ingestResponse{
-		ID: id, Table: table, Rows: len(rows), Events: events,
+		ID: id, Table: table, Rows: applied, Events: events,
 	})
 }
 
@@ -113,35 +129,38 @@ func parseCoord(name, field string) (float64, error) {
 	return v, nil
 }
 
-// applyIngest installs the batch: build a replacement table from the
-// current tuples plus the batch, swap it into the model context, drop
-// the engine's cached state for the table, then publish geofence
-// transitions. Batches are serialized by ingestMu — the copy-on-write
-// scheme needs a stable "current" table per batch — while queries keep
-// running against whichever table version they started with.
-func (s *Server) applyIngest(table string, rows []moft.Tuple) (events int, err error) {
+// applyIngest installs the batch: derive the table's next version
+// (moft.Table.WithAppended, O(batch) plus the run headers), swap it
+// into the model context, drop the engine's cached state for the
+// table, then publish geofence transitions for the applied rows.
+// Batches are serialized by ingestMu — each derives from a stable
+// "current" version — while queries keep running against whichever
+// version they started with. A rejected batch, or one whose every row
+// repeats a stored sample, changes nothing.
+func (s *Server) applyIngest(table string, rows []moft.Tuple) (applied, events int, err error) {
 	s.ingestMu.Lock()
 	old, err := s.sys.Ctx.Table(table)
 	if err != nil {
 		s.ingestMu.Unlock()
-		return 0, &httpError{status: http.StatusNotFound, code: "unknown_table",
+		return 0, 0, &httpError{status: http.StatusNotFound, code: "unknown_table",
 			err: fmt.Errorf("table %q: %w", table, err)}
 	}
-	next := moft.New(table)
-	for _, tp := range old.Tuples() {
-		next.AddTuple(tp)
+	next, err := old.WithAppended(rows)
+	if err != nil {
+		s.ingestMu.Unlock()
+		return 0, 0, fmt.Errorf("table %q: %w", table, err)
 	}
-	for _, tp := range rows {
-		next.AddTuple(tp)
+	add := old.Applied(rows)
+	if next != old {
+		s.sys.Ctx.AddTable(next)
+		s.sys.Engine.InvalidateTrajectories(table)
 	}
-	s.sys.Ctx.AddTable(next)
-	s.sys.Engine.InvalidateTrajectories(table)
 	s.ingestMu.Unlock()
 
 	if s.hub != nil {
-		for _, tp := range rows {
+		for _, tp := range add {
 			events += s.hub.observe(table, tp.Oid, tp.T, tp.X, tp.Y)
 		}
 	}
-	return events, nil
+	return len(add), events, nil
 }

@@ -11,6 +11,7 @@ const (
 	metricAcceptFaults      = "mogis_server_accept_faults_total"
 	metricHandlerPanics     = "mogis_server_handler_panics_total"
 	metricIngestRows        = "mogis_server_ingest_rows_total"
+	metricIngestRejected    = "mogis_server_ingest_rejected_total"
 	metricEventsPublished   = "mogis_server_events_published_total"
 	metricEventsDropped     = "mogis_server_events_dropped_total"
 	metricSubscriberLags    = "mogis_server_subscriber_lags_total"
@@ -31,6 +32,7 @@ type serverMetrics struct {
 	acceptFaults    *obs.Counter // injected accept failures absorbed by the listener
 	handlerPanics   *obs.Counter // panics recovered at the handler boundary
 	ingestRows      *obs.Counter // position updates applied by /ingest
+	ingestRejected  *obs.Counter // batches refused for breaking the MOFT's function rule
 	eventsPublished *obs.Counter // geofence events fanned out to subscribers
 	eventsDropped   *obs.Counter // events dropped by the slow-consumer policy
 	subscriberLags  *obs.Counter // lagged notifications sent to slow consumers
@@ -50,6 +52,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		acceptFaults:    reg.Counter(metricAcceptFaults, "injected accept failures absorbed by the listener"),
 		handlerPanics:   reg.Counter(metricHandlerPanics, "panics recovered at the handler boundary"),
 		ingestRows:      reg.Counter(metricIngestRows, "position updates applied by /ingest"),
+		ingestRejected:  reg.Counter(metricIngestRejected, "ingest batches rejected with 422 (conflicting_sample, out_of_order)"),
 		eventsPublished: reg.Counter(metricEventsPublished, "geofence events fanned out to subscribers"),
 		eventsDropped:   reg.Counter(metricEventsDropped, "events dropped by the slow-consumer policy"),
 		subscriberLags:  reg.Counter(metricSubscriberLags, "lagged notifications sent to slow consumers"),

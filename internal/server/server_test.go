@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -350,6 +351,130 @@ func TestIngestRejectsNonFinite(t *testing.T) {
 				t.Errorf("rejected batch published %d geofence events", got-seq)
 			}
 		})
+	}
+}
+
+// TestIngestKeepsMOFTAFunction: a batch that gives a stored (oid, t)
+// a new position, or an object an instant not after its latest sample,
+// is a typed 422 naming the line, and it is rejected whole — the valid
+// rows ahead of the bad one are not applied, the table version and the
+// engine caches stay, and the geofence hub publishes nothing.
+func TestIngestKeepsMOFTAFunction(t *testing.T) {
+	s, _ := newTestServer(t, nil)
+	if w := do(s, "POST", "/ingest?table=FMbus", "9201,10,0.5,0.5\n9201,20,3.5,0.5\n", nil); w.Code != http.StatusOK {
+		t.Fatalf("seed ingest: %d %s", w.Code, w.Body.String())
+	}
+	if w := do(s, "POST", "/query", moQuery, nil); w.Code != http.StatusOK {
+		t.Fatalf("query: %d %s", w.Code, w.Body.String())
+	}
+	for _, tc := range []struct{ name, bad, code string }{
+		{"new position for a stored sample", "9201,10,1.5,0.5", "conflicting_sample"},
+		{"before the latest stored sample", "9201,15,0.5,0.5", "out_of_order"},
+		{"not after an earlier row of the batch", "9203,30,0.5,0.5\n9203,25,0.5,0.5", "out_of_order"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before, err := s.sys.Ctx.Table("FMbus")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables, objects := s.sys.Engine.CacheStats()
+			seq := s.hub.seq.Load()
+			rejected := s.met.ingestRejected.Value()
+			// Line 1 is valid and would publish an enter event.
+			w := do(s, "POST", "/ingest?table=FMbus", "9202,10,0.5,0.5\n"+tc.bad+"\n", nil)
+			if w.Code != http.StatusUnprocessableEntity {
+				t.Fatalf("status %d, want 422: %s", w.Code, w.Body.String())
+			}
+			e := decodeError(t, w)
+			if e.Code != tc.code {
+				t.Errorf("code %q, want %q", e.Code, tc.code)
+			}
+			if !strings.Contains(e.Error, "line ") {
+				t.Errorf("error %q names no line", e.Error)
+			}
+			after, err := s.sys.Ctx.Table("FMbus")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after != before {
+				t.Error("rejected batch replaced the table")
+			}
+			if tb, ob := s.sys.Engine.CacheStats(); tb != tables || ob != objects {
+				t.Errorf("rejected batch dropped engine caches: (%d, %d) -> (%d, %d)", tables, objects, tb, ob)
+			}
+			if got := s.hub.seq.Load(); got != seq {
+				t.Errorf("rejected batch published %d geofence events", got-seq)
+			}
+			if got := s.met.ingestRejected.Value(); got != rejected+1 {
+				t.Errorf("rejected counter %d -> %d", rejected, got)
+			}
+		})
+	}
+}
+
+// TestIngestRetryIsNoop: rows repeating stored samples are no-ops, so
+// a retried batch applies nothing, keeps the table version, counts no
+// rows and publishes no events.
+func TestIngestRetryIsNoop(t *testing.T) {
+	s, _ := newTestServer(t, nil)
+	batch := "9301,10,0.5,0.5\n9301,20,-50,-50\n"
+	ingest := func() ingestResponse {
+		t.Helper()
+		w := do(s, "POST", "/ingest?table=FMbus", batch, nil)
+		if w.Code != http.StatusOK {
+			t.Fatalf("ingest: %d %s", w.Code, w.Body.String())
+		}
+		var ir ingestResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &ir); err != nil {
+			t.Fatal(err)
+		}
+		return ir
+	}
+	first := ingest()
+	if first.Rows != 2 || first.Events == 0 {
+		t.Fatalf("first ingest = %+v, want 2 rows and events", first)
+	}
+	tbl, err := s.sys.Ctx.Table("FMbus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := s.hub.seq.Load()
+	if retry := ingest(); retry.Rows != 0 || retry.Events != 0 {
+		t.Errorf("retry = %+v, want 0 rows and 0 events", retry)
+	}
+	if again, _ := s.sys.Ctx.Table("FMbus"); again != tbl {
+		t.Error("a retry of applied rows replaced the table")
+	}
+	if got := s.hub.seq.Load(); got != seq {
+		t.Errorf("retry published %d events", got-seq)
+	}
+	if got := s.met.ingestRows.Value(); got != 2 {
+		t.Errorf("ingest rows counter = %d, want 2", got)
+	}
+}
+
+// TestIngestNeverSorts is the deterministic work gate for O(batch)
+// ingest: once the loaded table has been read, neither ingest nor the
+// queries after it sort a MOFT again.
+func TestIngestNeverSorts(t *testing.T) {
+	s, _ := newTestServer(t, nil)
+	query := func() {
+		t.Helper()
+		if w := do(s, "POST", "/query", moQuery, nil); w.Code != http.StatusOK {
+			t.Fatalf("query: %d %s", w.Code, w.Body.String())
+		}
+	}
+	query()
+	sorts := obs.Std.MOFTSorts.Value()
+	for i := 1; i <= 3; i++ {
+		body := fmt.Sprintf("9401,%d,0.5,0.5\n9402,%d,3.5,0.5\n", i*10, i*10)
+		if w := do(s, "POST", "/ingest?table=FMbus", body, nil); w.Code != http.StatusOK {
+			t.Fatalf("ingest %d: %d %s", i, w.Code, w.Body.String())
+		}
+	}
+	query()
+	if d := obs.Std.MOFTSorts.Value() - sorts; d != 0 {
+		t.Errorf("3 ingests and a query sorted the MOFT %d times; want 0", d)
 	}
 }
 
