@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -20,10 +22,10 @@ import (
 	"mogis/internal/traj"
 )
 
-// This file implements the engine's per-table cache hierarchy and the
-// worker pool behind the trajectory query hot path. Three caches hang
-// off each fact table, built single-flight and dropped whole on
-// invalidation:
+// This file implements the engine's per-table-version cache hierarchy
+// and the worker pool behind the trajectory query hot path. Four
+// caches hang off each version of a fact table, each built
+// single-flight:
 //
 //  1. the LIT cache — every object's interpolated trajectory,
 //  2. the spatial prefilter — an STR-packed R-tree over trajectory
@@ -36,7 +38,7 @@ import (
 //     configured cap,
 //  4. the pre-aggregated sample grid (internal/agggrid) — built
 //     independently of the LIT build (sample-only queries never pay
-//     for interpolation) from the table's columnar snapshot.
+//     for interpolation) from the version's columnar snapshot.
 //
 // Builds are cancellable: each cache unit is a buildUnit (a resettable
 // single-flight latch) whose builder runs under the triggering query's
@@ -45,10 +47,17 @@ import (
 // caller retries from scratch; waiters whose own context dies stop
 // waiting without affecting the in-flight build.
 //
-// Invalidation rules: InvalidateTrajectories(table) and ResetCache
-// drop all four for the affected tables. A query racing an
-// invalidation may still be answered from the generation it started
-// on; the next query sees fresh data.
+// Version rules: a tableCache belongs to one moft.Table version, and a
+// query reads the version and the cache it resolved in begin, never a
+// mix. Publishing a new version of a table (fo.Context.AddTable) is the
+// invalidation: the next query makes a fresh entry for it. When the
+// new version descends from the old one (moft.Table.Since), the first
+// reader derives the entry's LITs and R-tree from its parent's,
+// interpolating only the changed objects, and carries every interval
+// entry over with those objects pending; the grid is rebuilt. Anything
+// else — an unrelated table under the same name, rows loaded in place
+// into a table that was read — builds from scratch. InvalidateTrajectories
+// and ResetCache forget cached state outright, forcing a full rebuild.
 
 // serialThreshold is the object count below which the per-object
 // fan-out stays on the calling goroutine: goroutine startup dwarfs
@@ -126,12 +135,21 @@ func runProtected(op string, fn func() error) (err error) {
 	return fn()
 }
 
-// tableCache is the per-table cache unit. lits, oids and tree are
-// written by the lit buildUnit's builder before the unit latches and
-// read-only afterwards; the interval cache mutates under imu; the
-// sample grid builds under its own buildUnit so sample-only queries
-// never trigger trajectory interpolation.
+// tableCache is the cache unit of one table version. lits, oids and
+// tree are written by the lit buildUnit's builder before the unit
+// latches and read-only afterwards; the interval cache mutates under
+// imu; the sample grid builds under its own buildUnit so sample-only
+// queries never trigger trajectory interpolation.
 type tableCache struct {
+	// tbl is the version every structure below is built from, and ver
+	// its Version when the entry was made: rows loaded into tbl in
+	// place change tbl.Version() and retire the entry.
+	tbl *moft.Table
+	ver moft.Version
+	// parent is a built entry of an earlier version that the LIT build
+	// may derive from; cleared once the LIT build has latched.
+	parent atomic.Pointer[tableCache]
+
 	lit  buildUnit
 	lits map[moft.Oid]*traj.LIT
 	oids []moft.Oid // sorted; the deterministic fan-out order
@@ -141,7 +159,6 @@ type tableCache struct {
 	grid     *agggrid.Grid
 
 	imu       sync.RWMutex
-	dead      bool // set on invalidation; stops new interval-cache inserts
 	intervals map[string]*intervalEntry
 	// ivGen issues strictly increasing recency stamps. A hit only takes
 	// the read lock and bumps its entry's stamp — no recency-list splice
@@ -151,40 +168,55 @@ type tableCache struct {
 	ivGen atomic.Int64
 }
 
+// current reports whether the entry still matches its table.
+func (tc *tableCache) current() bool { return tc.tbl.Version() == tc.ver }
+
 // intervalEntry is one memoized (polygon → per-object intervals) set.
 // stamp is its recency: stamps are unique and monotonic (ivGen), so
 // min-stamp eviction reproduces exact LRU order.
 type intervalEntry struct {
 	key   string
-	m     map[moft.Oid][]traj.TimeInterval
+	state atomic.Pointer[ivState]
+	// fix brings a carried-over entry up to its version, single-flight.
+	fix   buildUnit
 	stamp atomic.Int64
 }
 
-// build interpolates every object of the table and packs the
-// trajectory bounding boxes into the prefilter R-tree. It publishes
-// to tc only at the very end, so an abandoned build (cancel, budget,
-// fault) leaves no partial state behind.
-func (tc *tableCache) build(ctx context.Context, e *Engine, table string) error {
+// ivState is an interval entry's content. m is final for the entry's
+// version when pending is empty; otherwise m is an earlier version's
+// map and pending lists, ascending, the objects whose intervals must
+// be recomputed before it answers.
+type ivState struct {
+	m       map[moft.Oid][]traj.TimeInterval
+	pending []moft.Oid
+}
+
+// build interpolates the version's objects and packs the trajectory
+// bounding boxes into the prefilter R-tree: by derivation from the
+// parent entry when this version descends from the parent's, else from
+// scratch. It publishes to tc only at the very end, so an abandoned
+// build (cancel, budget, fault) leaves no partial state behind.
+func (tc *tableCache) build(ctx context.Context, e *Engine) error {
 	if err := faultpoint.Hit(faultpoint.CoreLITBuild); err != nil {
 		return err
 	}
-	tbl, err := e.mctx.Table(table)
-	if err != nil {
-		return err
+	if p := tc.parent.Load(); p != nil && p.lit.ok() && p.current() {
+		if changed, ok := tc.tbl.Since(p.tbl); ok {
+			return tc.derive(ctx, e, p, changed)
+		}
 	}
 	sp := e.mctx.Tracer().Start("interpolate")
 	defer sp.End()
 	// Interpolate from the columnar snapshot: per-object samples come
 	// from contiguous ranges of the flat T/X/Y arrays instead of
 	// walking Tuple structs.
-	cols, err := tbl.ColumnsCtx(ctx)
+	cols, err := tc.tbl.ColumnsCtx(ctx)
 	if err != nil {
 		return err
 	}
 	oids := make([]moft.Oid, len(cols.Oids))
 	copy(oids, cols.Oids)
 	lits := make(map[moft.Oid]*traj.LIT, len(oids))
-	entries := make([]sindex.Entry, 0, len(oids))
 	for i, oid := range oids {
 		if i%64 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -198,14 +230,96 @@ func (tc *tableCache) build(ctx context.Context, e *Engine, table string) error 
 			return fmt.Errorf("core: object O%d: %w", oid, err)
 		}
 		lits[oid] = l
-		entries = append(entries, sindex.Entry{Box: sindex.Box(l.BBox()), ID: int64(oid)})
 	}
+	e.metrics().ObjectsInterpolated.Add(int64(len(lits)))
 	sp.SetCount("objects", int64(len(lits)))
 	sp.SetCount("samples", int64(cols.Len()))
 	tc.lits = lits
 	tc.oids = oids
-	tc.tree = sindex.BulkLoad(entries, sindex.DefaultFanout)
+	tc.tree = bboxTree(oids, lits)
 	return nil
+}
+
+// derive builds tc from the entry of an ancestor version: the LITs of
+// unchanged objects are shared, the changed ones are interpolated from
+// their runs, the R-tree is packed again, and every interval entry is
+// carried over with the changed objects pending.
+func (tc *tableCache) derive(ctx context.Context, e *Engine, p *tableCache, changed []moft.Oid) error {
+	sp := e.mctx.Tracer().Start("derive_cache")
+	defer sp.End()
+	lits := maps.Clone(p.lits)
+	var added []moft.Oid
+	for i, oid := range changed {
+		if i%64 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		rows := tc.tbl.ObjectTuples(oid)
+		s := make(traj.Sample, len(rows))
+		for k, tp := range rows {
+			s[k] = traj.TimePoint{T: tp.T, P: tp.Point()}
+		}
+		l, err := traj.NewLIT(s)
+		if err != nil {
+			return fmt.Errorf("core: object O%d: %w", oid, err)
+		}
+		if _, ok := lits[oid]; !ok {
+			added = append(added, oid)
+		}
+		lits[oid] = l
+	}
+	oids := p.oids
+	if len(added) > 0 {
+		oids = append(slices.Clone(oids), added...)
+		slices.Sort(oids)
+	}
+
+	p.imu.RLock()
+	intervals := make(map[string]*intervalEntry, len(p.intervals))
+	for key, en := range p.intervals {
+		st := en.state.Load()
+		pending := changed
+		if len(st.pending) > 0 {
+			pending = mergeOids(st.pending, changed)
+		}
+		carried := &intervalEntry{key: key}
+		carried.state.Store(&ivState{m: st.m, pending: pending})
+		carried.stamp.Store(en.stamp.Load())
+		intervals[key] = carried
+	}
+	gen := p.ivGen.Load()
+	p.imu.RUnlock()
+
+	e.metrics().ObjectsInterpolated.Add(int64(len(changed)))
+	sp.SetCount("objects", int64(len(oids)))
+	sp.SetCount("changed", int64(len(changed)))
+	sp.SetCount("entries", int64(len(intervals)))
+	tc.lits = lits
+	tc.oids = oids
+	tc.tree = bboxTree(oids, lits)
+	tc.imu.Lock()
+	tc.intervals = intervals
+	tc.ivGen.Store(gen)
+	tc.imu.Unlock()
+	return nil
+}
+
+// bboxTree packs the trajectory bounding boxes, in oid order, into the
+// prefilter R-tree.
+func bboxTree(oids []moft.Oid, lits map[moft.Oid]*traj.LIT) *sindex.RTree {
+	entries := make([]sindex.Entry, len(oids))
+	for i, oid := range oids {
+		entries[i] = sindex.Entry{Box: sindex.Box(lits[oid].BBox()), ID: int64(oid)}
+	}
+	return sindex.BulkLoad(entries, sindex.DefaultFanout)
+}
+
+// mergeOids returns the ascending union of two oid lists.
+func mergeOids(a, b []moft.Oid) []moft.Oid {
+	out := append(slices.Clone(a), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ordinal returns the index of a cached object in tc.oids. Object ids
@@ -221,18 +335,14 @@ func (tc *tableCache) ordinal(oid moft.Oid) int {
 // aggGrid returns the table's pre-aggregated sample grid, building it
 // single-flight from the columnar snapshot on first use. Independent
 // of the LIT build: sample-only queries pay only for the grid.
-func (tc *tableCache) aggGrid(ctx context.Context, e *Engine, table string) (*agggrid.Grid, error) {
+func (tc *tableCache) aggGrid(ctx context.Context, e *Engine) (*agggrid.Grid, error) {
 	_, err := tc.gridUnit.run(ctx, "core/grid-build", func() error {
 		if err := faultpoint.Hit(faultpoint.CoreGridBuild); err != nil {
 			return err
 		}
-		tbl, err := e.mctx.Table(table)
-		if err != nil {
-			return err
-		}
 		sp := e.mctx.Tracer().Start("agggrid_build")
 		defer sp.End()
-		cols, err := tbl.ColumnsCtx(ctx)
+		cols, err := tc.tbl.ColumnsCtx(ctx)
 		if err != nil {
 			return err
 		}
@@ -291,17 +401,6 @@ func (tc *tableCache) candidates(ctx context.Context, met *obs.Metrics, box geom
 	return out, nil
 }
 
-// drainIntervals empties the interval cache (on invalidation) and
-// keeps the entries gauge consistent.
-func (tc *tableCache) drainIntervals(met *obs.Metrics) {
-	tc.imu.Lock()
-	n := len(tc.intervals)
-	tc.dead = true
-	tc.intervals = nil
-	tc.imu.Unlock()
-	met.IntervalCacheEntries.Add(-int64(n))
-}
-
 // polygonKey is an exact fingerprint of a polygon's coordinates: the
 // raw float64 bits of every vertex, rings separated by a NaN marker
 // (no finite coordinate collides with it). Two polygons share a key
@@ -347,15 +446,16 @@ func (e *Engine) polygonIntervals(ctx context.Context, qc *qctl, tc *tableCache,
 	if cacheCap > 0 {
 		key = polygonKey(pg)
 		tc.imu.RLock()
-		if en, ok := tc.intervals[key]; ok {
+		en, ok := tc.intervals[key]
+		if ok {
 			en.stamp.Store(tc.ivGen.Add(1)) // most recently used
-			m := en.m
-			tc.imu.RUnlock()
-			met.IntervalCacheHits.Inc()
-			qc.cacheHit(true)
-			return m, nil
 		}
 		tc.imu.RUnlock()
+		if ok {
+			met.IntervalCacheHits.Inc()
+			qc.cacheHit(true)
+			return e.settle(ctx, qc, tc, en, pg)
+		}
 		met.IntervalCacheMisses.Inc()
 		qc.cacheHit(false)
 	}
@@ -413,34 +513,80 @@ func (e *Engine) polygonIntervals(ctx context.Context, qc *qctl, tc *tableCache,
 			return nil, err
 		}
 		tc.imu.Lock()
-		if !tc.dead {
-			if tc.intervals == nil {
-				tc.intervals = make(map[string]*intervalEntry)
-			}
-			if _, dup := tc.intervals[key]; !dup {
-				// Evict least-recently-used entries until the new one
-				// fits within the cap: the minimum stamp is the LRU
-				// entry (stamps are unique, so there are no ties).
-				for len(tc.intervals) >= cacheCap {
-					var oldest *intervalEntry
-					for _, en := range tc.intervals {
-						if oldest == nil || en.stamp.Load() < oldest.stamp.Load() {
-							oldest = en
-						}
+		if tc.intervals == nil {
+			tc.intervals = make(map[string]*intervalEntry)
+		}
+		if _, dup := tc.intervals[key]; !dup {
+			// Evict least-recently-used entries until the new one fits
+			// within the cap: the minimum stamp is the LRU entry (stamps
+			// are unique, so there are no ties).
+			for len(tc.intervals) >= cacheCap {
+				var oldest *intervalEntry
+				for _, en := range tc.intervals {
+					if oldest == nil || en.stamp.Load() < oldest.stamp.Load() {
+						oldest = en
 					}
-					delete(tc.intervals, oldest.key)
-					met.IntervalCacheEvictions.Inc()
-					met.IntervalCacheEntries.Add(-1)
 				}
-				en := &intervalEntry{key: key, m: out}
-				en.stamp.Store(tc.ivGen.Add(1))
-				tc.intervals[key] = en
-				met.IntervalCacheEntries.Add(1)
+				delete(tc.intervals, oldest.key)
+				met.IntervalCacheEvictions.Inc()
 			}
+			en := &intervalEntry{key: key}
+			en.state.Store(&ivState{m: out})
+			en.stamp.Store(tc.ivGen.Add(1))
+			tc.intervals[key] = en
 		}
 		tc.imu.Unlock()
+		e.updateCacheGauges()
 	}
 	return out, nil
+}
+
+// settle returns a cached entry's map for tc's version. An entry
+// carried over from a parent version first recomputes, single-flight,
+// the intervals of its pending objects — the same prefilter and
+// InsidePolygonIntervals test a fresh computation applies to them —
+// on a copy of the parent's map.
+//
+//moglint:deterministic
+func (e *Engine) settle(ctx context.Context, qc *qctl, tc *tableCache, en *intervalEntry, pg geom.Polygon) (map[moft.Oid][]traj.TimeInterval, error) {
+	if st := en.state.Load(); len(st.pending) == 0 {
+		return st.m, nil
+	}
+	_, err := en.fix.run(ctx, "core/interval-fix", func() error {
+		st := en.state.Load()
+		if len(st.pending) == 0 {
+			return nil
+		}
+		m := maps.Clone(st.m)
+		box := pg.BBox()
+		rows := int64(0)
+		for _, oid := range st.pending {
+			delete(m, oid)
+			l := tc.lits[oid]
+			if !l.BBox().Intersects(box) {
+				continue
+			}
+			if rows += int64(len(l.Sample())); rows >= checkEvery {
+				if err := qc.addRows(ctx, rows); err != nil {
+					return err
+				}
+				rows = 0
+			}
+			if ivs := l.InsidePolygonIntervals(pg); len(ivs) > 0 {
+				m[oid] = ivs
+			}
+		}
+		if err := qc.addRows(ctx, rows); err != nil {
+			return err
+		}
+		e.metrics().IntervalObjectsRecomputed.Add(int64(len(st.pending)))
+		en.state.Store(&ivState{m: m})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return en.state.Load().m, nil
 }
 
 // workerCount sizes the pool for a fan-out over n objects: the

@@ -38,12 +38,17 @@ import (
 )
 
 // Engine evaluates spatio-temporal aggregate queries against a model
-// context. An Engine is safe for concurrent use: the per-table caches
-// (trajectories, spatial prefilter, interval cache) are built
-// single-flight behind a read-write lock, and the trajectory query
-// hot path fans out over a worker pool (see cache.go). The model
-// context itself must not be mutated while queries are in flight —
-// invalidate the affected table's caches after MOFT mutations.
+// context. An Engine is safe for concurrent use: the caches
+// (trajectories, spatial prefilter, interval cache, sample grid)
+// belong to one version of a table and are built single-flight, and
+// the trajectory query hot path fans out over a worker pool (see
+// cache.go). Each query reads the one table version it resolved when
+// it began. Publishing a new version with fo.Context.AddTable — as
+// live ingest does — needs no call on the engine: the next query
+// builds the new version's caches, deriving them from the previous
+// version's when the new one was made by moft.Table.WithAppended.
+// Rows loaded in place (moft.Table.Add) are seen by the next query
+// too, but must not race queries in flight.
 //
 // Every query entry point takes a context.Context first and observes
 // cancellation, deadlines and the resource Budget attached with
@@ -68,13 +73,15 @@ type Engine struct {
 	telIsSet atomic.Bool
 
 	mu sync.RWMutex
-	// litCache holds the per-table cache units (LITs, prefilter
-	// R-tree, interval cache), built single-flight.
+	// litCache holds, per table name, the cache unit of the newest
+	// version a query has resolved (LITs, prefilter R-tree, interval
+	// cache, grid), built single-flight.
 	litCache map[string]*tableCache
-	// accTables/accObjects are this engine's last contribution to the
-	// shared LitCacheTables/LitCacheObjects gauges, so several engines
-	// can account against one metrics bundle.
-	accTables, accObjects int
+	// accTables/accObjects/accEntries are this engine's last
+	// contribution to the shared LitCacheTables/LitCacheObjects and
+	// IntervalCacheEntries gauges, so several engines can account
+	// against one metrics bundle.
+	accTables, accObjects, accEntries int
 
 	// workers bounds the per-query fan-out (0 → GOMAXPROCS).
 	workers atomic.Int32
@@ -152,7 +159,7 @@ func (e *Engine) SetWorkers(n int) {
 // SetIntervalCacheCap bounds the number of distinct polygons whose
 // inside-intervals are memoized per table (the interval cache);
 // n <= 0 disables the cache entirely, 0 < n sets the cap (default
-// 256). Exceeding the cap clears the table's memoized set whole.
+// 256). Inserting past the cap evicts the least-recently-used polygon.
 func (e *Engine) SetIntervalCacheCap(n int) {
 	if n <= 0 {
 		e.intervalCap.Store(-1)
@@ -178,8 +185,9 @@ func (e *Engine) intervalCacheCap() int {
 // accelerates polygon aggregates over raw samples: n < 0 disables the
 // grid (queries take the scan path), 0 restores the default
 // auto-sizing (~64 samples per cell), n > 0 forces an n×n grid. The
-// setting applies to grids built afterwards; call ResetCache or
-// InvalidateTrajectories to rebuild an existing grid.
+// setting applies to grids built afterwards (the next table version
+// builds one); call ResetCache or InvalidateTrajectories to rebuild an
+// existing grid.
 func (e *Engine) SetAggGrid(n int) {
 	if n < 0 {
 		n = -1
@@ -208,18 +216,19 @@ func (e *Engine) SetTimeBuckets(n int) {
 // AggGridMismatches and the slow result wins. For tests and gates.
 func (e *Engine) SetGridVerify(on bool) { e.gridVerify.Store(on) }
 
-// sampleGrid returns the table's pre-aggregated grid, creating the
-// cache entry if needed. Unlike table(), it never triggers the LIT
-// build — sample-only queries don't pay for interpolation.
-func (e *Engine) sampleGrid(ctx context.Context, table string) (*agggrid.Grid, error) {
-	tc := e.tableEntry(table)
-	g, err := tc.aggGrid(ctx, e, table)
+// sampleGrid returns the pre-aggregated grid of the query's table
+// version. Unlike table(), it never triggers the LIT build —
+// sample-only queries don't pay for interpolation.
+func (e *Engine) sampleGrid(ctx context.Context, qc *qctl) (*agggrid.Grid, error) {
+	if qc.terr != nil {
+		return nil, qc.terr
+	}
+	g, err := qc.tc.aggGrid(ctx, e)
 	if err != nil {
-		// Drop the failed entry on permanent errors (unknown table) so
-		// a later call can retry after the table appears; transient
-		// aborts (cancel, budget, fault, panic) keep the entry — its
-		// buildUnit already reset for retry.
-		e.dropEntryOnPermanent(table, tc, err)
+		// Drop the failed entry on permanent errors so a later call can
+		// retry; transient aborts (cancel, budget, fault, panic) keep
+		// the entry — its buildUnit already reset for retry.
+		e.dropEntryOnPermanent(qc.tc, err)
 		return nil, err
 	}
 	return g, nil
@@ -389,12 +398,12 @@ func (e *Engine) ObjectsSampledAt(ctx context.Context, table string, t timedim.I
 	qc, ctx, done := e.begin(ctx, "objects_sampled_at", table)
 	defer done(&err)
 	e.countQuery(6)
-	tbl, err := e.mctx.Table(table)
+	tbl, err := qc.table()
 	if err != nil {
 		return nil, err
 	}
 	if e.gridEnabled() {
-		g, err := e.sampleGrid(ctx, table)
+		g, err := e.sampleGrid(ctx, qc)
 		if err != nil {
 			return nil, err
 		}
@@ -483,7 +492,7 @@ func (e *Engine) ObjectsInterpolatedAt(ctx context.Context, table string, t time
 	qc, ctx, done := e.begin(ctx, "objects_interpolated_at", table)
 	defer done(&err)
 	e.countQuery(6)
-	tc, err := e.table(ctx, qc, table)
+	tc, err := e.table(ctx, qc)
 	if err != nil {
 		return nil, err
 	}
@@ -526,54 +535,81 @@ func (e *Engine) ObjectsInterpolatedAt(ctx context.Context, table string, t time
 func (e *Engine) Trajectories(ctx context.Context, table string) (lits map[moft.Oid]*traj.LIT, err error) {
 	qc, ctx, done := e.begin(ctx, "trajectories", table)
 	defer done(&err)
-	tc, err := e.table(ctx, qc, table)
+	tc, err := e.table(ctx, qc)
 	if err != nil {
 		return nil, err
 	}
 	return tc.lits, nil
 }
 
-// tableEntry returns (creating if needed) the table's cache entry
-// without triggering any build.
-func (e *Engine) tableEntry(table string) *tableCache {
+// view resolves the current version of a table and the cache entry
+// of exactly that version, so that everything one query reads comes
+// from one version. A version no query has resolved yet gets a fresh
+// entry whose parent is the entry it replaces (or, when that was never
+// built, that entry's parent): the first reader derives from it.
+// Resolving an unchanged table takes only read locks and one version
+// compare.
+func (e *Engine) view(table string) (*moft.Table, *tableCache, error) {
 	e.mu.RLock()
+	tbl, err := e.mctx.Table(table)
 	tc := e.litCache[table]
 	e.mu.RUnlock()
-	if tc == nil {
-		e.mu.Lock()
-		if tc = e.litCache[table]; tc == nil {
-			tc = &tableCache{}
-			e.litCache[table] = tc
-		}
-		e.mu.Unlock()
+	if err != nil {
+		return nil, nil, err
 	}
-	return tc
+	if tc != nil && tc.tbl == tbl && tc.current() {
+		return tbl, tc, nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if tbl, err = e.mctx.Table(table); err != nil {
+		return nil, nil, err
+	}
+	tc = e.litCache[table]
+	if tc != nil && tc.tbl == tbl && tc.current() {
+		return tbl, tc, nil
+	}
+	next := &tableCache{tbl: tbl, ver: tbl.Version()}
+	if tc != nil {
+		parent := tc
+		if !tc.lit.ok() {
+			parent = tc.parent.Load()
+		}
+		next.parent.Store(parent)
+	}
+	e.litCache[table] = next
+	e.updateCacheGaugesLocked()
+	return tbl, next, nil
 }
 
 // dropEntryOnPermanent removes a cache entry whose build failed with
-// a permanent error (unknown table, malformed samples), so a later
-// call can retry after the table appears. Transient aborts — cancel,
-// deadline, budget, injected fault, recovered panic — keep the entry:
-// its buildUnit already reset, and any sibling cache (e.g. a built
-// grid next to an aborted LIT build) survives.
-func (e *Engine) dropEntryOnPermanent(table string, tc *tableCache, err error) {
+// a permanent error (malformed samples), so a later call can retry.
+// Transient aborts — cancel, deadline, budget, injected fault,
+// recovered panic — keep the entry: its buildUnit already reset, and
+// any sibling cache (e.g. a built grid next to an aborted LIT build)
+// survives.
+func (e *Engine) dropEntryOnPermanent(tc *tableCache, err error) {
 	if qerr.IsCancel(err) || qerr.IsPanic(err) || IsBudget(err) || isInjected(err) {
 		return
 	}
 	e.mu.Lock()
-	if e.litCache[table] == tc {
+	if table := tc.tbl.Name(); e.litCache[table] == tc {
 		delete(e.litCache, table)
+		e.updateCacheGaugesLocked()
 	}
 	e.mu.Unlock()
 }
 
-// table returns the table's cache unit, building it single-flight on
-// first use: concurrent queries against a cold table interpolate its
-// trajectories exactly once, with every caller waiting on the same
-// build. A build abandoned mid-flight (cancel, budget, fault) resets
-// its unit so the next caller retries.
-func (e *Engine) table(ctx context.Context, qc *qctl, table string) (*tableCache, error) {
-	tc := e.tableEntry(table)
+// table returns the cache unit of the query's table version, building
+// it single-flight on first use: concurrent queries against a cold
+// version interpolate (or derive) its trajectories exactly once, with
+// every caller waiting on the same build. A build abandoned mid-flight
+// (cancel, budget, fault) resets its unit so the next caller retries.
+func (e *Engine) table(ctx context.Context, qc *qctl) (*tableCache, error) {
+	if qc.terr != nil {
+		return nil, qc.terr
+	}
+	tc := qc.tc
 	met := e.metrics()
 	hit := tc.lit.ok()
 	qc.cacheHit(hit)
@@ -583,51 +619,59 @@ func (e *Engine) table(ctx context.Context, qc *qctl, table string) (*tableCache
 		met.LitCacheMisses.Inc()
 	}
 	builtNow, err := tc.lit.run(ctx, "core/lit-build", func() error {
-		return tc.build(ctx, e, table)
+		return tc.build(ctx, e)
 	})
 	if err != nil {
-		e.dropEntryOnPermanent(table, tc, err)
+		e.dropEntryOnPermanent(tc, err)
 		return nil, err
 	}
 	if builtNow {
-		e.mu.Lock()
-		e.updateCacheGaugesLocked()
-		e.mu.Unlock()
+		tc.parent.Store(nil)
+		e.updateCacheGauges()
 	}
 	return tc, nil
 }
 
-// updateCacheGaugesLocked re-derives this engine's litCache gauge
-// contribution from the built entries and applies the delta, so
-// gauges stay exact across builds, invalidations and resets. Caller
-// holds e.mu.
+// updateCacheGauges is updateCacheGaugesLocked under e.mu.
+func (e *Engine) updateCacheGauges() {
+	e.mu.Lock()
+	e.updateCacheGaugesLocked()
+	e.mu.Unlock()
+}
+
+// updateCacheGaugesLocked re-derives this engine's cache gauge
+// contribution from the entries queries can still reach and applies
+// the delta, so gauges stay exact across builds, new versions,
+// invalidations and resets. Caller holds e.mu.
 func (e *Engine) updateCacheGaugesLocked() {
-	tables, objects := 0, 0
+	tables, objects, entries := 0, 0, 0
 	for _, tc := range e.litCache {
 		if tc.lit.ok() {
 			tables++
 			objects += len(tc.lits)
 		}
+		tc.imu.RLock()
+		entries += len(tc.intervals)
+		tc.imu.RUnlock()
 	}
 	met := e.metrics()
 	met.LitCacheTables.Add(int64(tables - e.accTables))
 	met.LitCacheObjects.Add(int64(objects - e.accObjects))
-	e.accTables, e.accObjects = tables, objects
+	met.IntervalCacheEntries.Add(int64(entries - e.accEntries))
+	e.accTables, e.accObjects, e.accEntries = tables, objects, entries
 }
 
-// InvalidateTrajectories drops every cache derived from the table —
-// trajectories, the prefilter R-tree and memoized intervals (call
-// after mutating the MOFT). Queries already in flight may still
-// answer from the dropped generation.
+// InvalidateTrajectories forgets every cache of the table —
+// trajectories, the prefilter R-tree, memoized intervals and the grid
+// — and so forces the next query to rebuild them from scratch.
+// Publishing a new table version needs no call: caches belong to a
+// version (see view). Queries already in flight finish on the state
+// they began with.
 func (e *Engine) InvalidateTrajectories(table string) {
 	e.mu.Lock()
-	tc := e.litCache[table]
 	delete(e.litCache, table)
 	e.updateCacheGaugesLocked()
 	e.mu.Unlock()
-	if tc != nil {
-		tc.drainIntervals(e.metrics())
-	}
 }
 
 // ResetCache drops every cached table. The caches grow without bound
@@ -635,13 +679,9 @@ func (e *Engine) InvalidateTrajectories(table string) {
 // long-lived processes can call this to reclaim the memory.
 func (e *Engine) ResetCache() {
 	e.mu.Lock()
-	old := e.litCache
 	e.litCache = make(map[string]*tableCache)
 	e.updateCacheGaugesLocked()
 	e.mu.Unlock()
-	for _, tc := range old {
-		tc.drainIntervals(e.metrics())
-	}
 }
 
 // CacheStats reports the current litCache footprint: the number of
@@ -669,6 +709,12 @@ func (e *Engine) ObjectsPassingThrough(ctx context.Context, table string, pg geo
 	defer done(&err)
 	e.countQuery(7)
 	qc.noteWindow(iv)
+	return e.objectsPassingThrough(ctx, qc, pg, iv)
+}
+
+// objectsPassingThrough is ObjectsPassingThrough inside an already
+// open bracket.
+func (e *Engine) objectsPassingThrough(ctx context.Context, qc *qctl, pg geom.Polygon, iv timedim.Interval) ([]moft.Oid, error) {
 	// Temporal prefilter: interpolated trajectories live inside the
 	// snapshot's sample time extent, so a window strictly disjoint from
 	// [minT, maxT] cannot intersect any trajectory — answer empty
@@ -677,7 +723,7 @@ func (e *Engine) ObjectsPassingThrough(ctx context.Context, table string, pg geo
 	// window to touch the trajectory's time domain. Gated on the grid
 	// knob so SetAggGrid(-1) still measures the pure scan path.
 	if e.gridEnabled() {
-		tbl, terr := e.mctx.Table(table)
+		tbl, terr := qc.table()
 		if terr != nil {
 			return nil, terr
 		}
@@ -688,7 +734,7 @@ func (e *Engine) ObjectsPassingThrough(ctx context.Context, table string, pg geo
 		if lo, hi, ok := cols.TimeSpan(); ok && (iv.Hi < lo || iv.Lo > hi) {
 			e.metrics().AggGridTimeSkips.Inc()
 			if e.gridVerify.Load() {
-				slow, serr := e.objectsPassingThroughFull(ctx, qc, table, pg, iv)
+				slow, serr := e.objectsPassingThroughFull(ctx, qc, pg, iv)
 				if serr != nil {
 					return nil, serr
 				}
@@ -697,13 +743,13 @@ func (e *Engine) ObjectsPassingThrough(ctx context.Context, table string, pg geo
 			return nil, nil
 		}
 	}
-	return e.objectsPassingThroughFull(ctx, qc, table, pg, iv)
+	return e.objectsPassingThroughFull(ctx, qc, pg, iv)
 }
 
 // objectsPassingThroughFull is ObjectsPassingThrough past the temporal
 // prefilter: inside-intervals intersected with the query window.
-func (e *Engine) objectsPassingThroughFull(ctx context.Context, qc *qctl, table string, pg geom.Polygon, iv timedim.Interval) (out []moft.Oid, err error) {
-	tc, err := e.table(ctx, qc, table)
+func (e *Engine) objectsPassingThroughFull(ctx context.Context, qc *qctl, pg geom.Polygon, iv timedim.Interval) (out []moft.Oid, err error) {
+	tc, err := e.table(ctx, qc)
 	if err != nil {
 		return nil, err
 	}
@@ -746,12 +792,18 @@ func (e *Engine) ObjectsSampledInside(ctx context.Context, table string, pg geom
 	defer done(&err)
 	e.countQuery(7)
 	qc.noteWindow(iv)
-	tbl, err := e.mctx.Table(table)
+	return e.objectsSampledInside(ctx, qc, pg, iv)
+}
+
+// objectsSampledInside is ObjectsSampledInside inside an already open
+// bracket.
+func (e *Engine) objectsSampledInside(ctx context.Context, qc *qctl, pg geom.Polygon, iv timedim.Interval) ([]moft.Oid, error) {
+	tbl, err := qc.table()
 	if err != nil {
 		return nil, err
 	}
 	if e.gridEnabled() {
-		g, err := e.sampleGrid(ctx, table)
+		g, err := e.sampleGrid(ctx, qc)
 		if err != nil {
 			return nil, err
 		}
@@ -830,12 +882,12 @@ func (e *Engine) CountSamplesInside(ctx context.Context, table string, pg geom.P
 	defer done(&err)
 	e.countQuery(4)
 	qc.noteWindow(iv)
-	tbl, err := e.mctx.Table(table)
+	tbl, err := qc.table()
 	if err != nil {
 		return 0, err
 	}
 	if e.gridEnabled() {
-		g, err := e.sampleGrid(ctx, table)
+		g, err := e.sampleGrid(ctx, qc)
 		if err != nil {
 			return 0, err
 		}
@@ -924,7 +976,7 @@ func (e *Engine) TimeSpentInside(ctx context.Context, table string, pg geom.Poly
 	defer done(&err)
 	e.countQuery(7)
 	qc.noteWindow(iv)
-	tc, err := e.table(ctx, qc, table)
+	tc, err := e.table(ctx, qc)
 	if err != nil {
 		return nil, err
 	}
@@ -961,7 +1013,7 @@ func (e *Engine) ObjectsEverWithinRadius(ctx context.Context, table string, cent
 	qc.noteWindow(iv)
 	defer done(&err)
 	e.countQuery(7)
-	tc, err := e.table(ctx, qc, table)
+	tc, err := e.table(ctx, qc)
 	if err != nil {
 		return nil, err
 	}
@@ -1047,7 +1099,7 @@ func (e *Engine) TrajectoryAggregate(ctx context.Context, table string, oid moft
 	qc, ctx, done := e.begin(ctx, "trajectory_aggregate", table)
 	defer done(&err)
 	e.countQuery(8)
-	tc, err := e.table(ctx, qc, table)
+	tc, err := e.table(ctx, qc)
 	if err != nil {
 		return TrajectoryStats{}, err
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mogis/internal/faultpoint"
+	"mogis/internal/moft"
 	"mogis/internal/qerr"
 	"mogis/internal/telemetry"
 	"mogis/internal/timedim"
@@ -97,7 +98,17 @@ type qctl struct {
 	// (Hi-Lo+1), 0 for untimed queries; reported on the telemetry
 	// record so adaptive time-bucket sizing can observe the workload.
 	window atomic.Int64
+
+	// The query's table, resolved once in begin: the version it reads
+	// and the cache entry of exactly that version (see Engine.view), or
+	// the error resolving it. Unset for queries over no table.
+	tbl  *moft.Table
+	tc   *tableCache
+	terr error
 }
+
+// table returns the table version the query reads.
+func (q *qctl) table() (*moft.Table, error) { return q.tbl, q.terr }
 
 // cacheHit tallies one engine cache lookup (LIT cache, interval
 // cache) for the query's telemetry record. Nil-safe.
@@ -155,7 +166,8 @@ func (q *qctl) addResults(n int64) error {
 }
 
 // begin opens the per-query control bracket for an exported entry
-// point: it resolves the context's Budget, applies its wall-clock
+// point: it resolves the context's Budget and, for a query over a
+// table, the table version and its cache entry, applies its wall-clock
 // deadline, and returns the tracker, the (possibly deadlined) context
 // and the done func the entry point must defer with a pointer to its
 // named error result. done recovers any panic that escaped the
@@ -174,6 +186,9 @@ func (e *Engine) begin(ctx context.Context, op, table string) (*qctl, context.Co
 		ctx, cancel = context.WithTimeout(ctx, b.Timeout)
 	}
 	qc := &qctl{budget: b}
+	if table != "" {
+		qc.tbl, qc.tc, qc.terr = e.view(table)
+	}
 	tel := e.telemetry()
 	var start time.Time
 	if tel.Enabled() {

@@ -30,7 +30,10 @@ type Querier interface {
 	SetAggGrid(int)
 	SetGridVerify(bool)
 
-	// Cache lifecycle.
+	// Cache lifecycle. Caches belong to a table version, so publishing
+	// a new version needs neither call: InvalidateTrajectories forgets
+	// one table's cached state and forces a rebuild from scratch,
+	// ResetCache does so for every table to reclaim memory.
 	InvalidateTrajectories(table string)
 	ResetCache()
 	CacheStats() (tables, objects int)

@@ -103,7 +103,7 @@ func (e *Engine) countRegionSet(ctx context.Context, qc *qctl, q RegionSetQuery)
 	}
 	gr := granules{width: q.Granule, n: 1}
 	if q.SampledOnly || gr.width > 0 {
-		tbl, err := e.mctx.Table(q.Table)
+		tbl, err := qc.table()
 		if err != nil {
 			return RegionSetCount{}, err
 		}
@@ -258,7 +258,7 @@ func (e *Engine) sampledSets(ctx context.Context, qc *qctl, table string, cols *
 	if !e.gridEnabled() {
 		return e.sampledRegionSetScan(ctx, qc, cols, pgs, w, gr)
 	}
-	g, err := e.sampleGrid(ctx, table)
+	g, err := e.sampleGrid(ctx, qc)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -359,7 +359,7 @@ func (e *Engine) sampledRegionSetScan(ctx context.Context, qc *qctl, cols *moft.
 // non-empty clipped interval, kept in its own bitset because it is
 // not always the union of the marked granules.
 func (e *Engine) passingRegionSet(ctx context.Context, qc *qctl, table string, pgs []geom.Polygon, w timedim.Interval, gr granules) (RegionSetCount, error) {
-	tc, err := e.table(ctx, qc, table)
+	tc, err := e.table(ctx, qc)
 	if err != nil {
 		return RegionSetCount{}, err
 	}

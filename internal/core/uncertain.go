@@ -42,11 +42,14 @@ func (e *Engine) ObjectsPossiblyPassingThrough(ctx context.Context, table string
 	if speedFactor < 1 {
 		return PossiblyResult{}, fmt.Errorf("core: speed factor must be ≥ 1, got %g", speedFactor)
 	}
-	lits, err := e.Trajectories(ctx, table)
+	// One version for all three strata: the query's own bracket.
+	tc, err := e.table(ctx, qc)
 	if err != nil {
 		return PossiblyResult{}, err
 	}
-	sampled, err := e.ObjectsSampledInside(ctx, table, pg, iv)
+	lits := tc.lits
+	e.countQuery(7)
+	sampled, err := e.objectsSampledInside(ctx, qc, pg, iv)
 	if err != nil {
 		return PossiblyResult{}, err
 	}
@@ -59,7 +62,8 @@ func (e *Engine) ObjectsPossiblyPassingThrough(ctx context.Context, table string
 		}
 		sampledSet[o] = true
 	}
-	interp, err := e.ObjectsPassingThrough(ctx, table, pg, iv)
+	e.countQuery(7)
+	interp, err := e.objectsPassingThrough(ctx, qc, pg, iv)
 	if err != nil {
 		return PossiblyResult{}, err
 	}

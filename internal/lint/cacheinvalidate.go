@@ -2,29 +2,21 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
 // AnalyzerCacheInvalidate enforces the every-mutation-invalidates-
-// derived-state contract in its two forms:
-//
-//  1. Inside a package defining a snapshot-bearing table (a struct
-//     with an atomic.Pointer snapshot field, like moft.Table's
-//     columnar snapshot): every exported method that mutates a slice
-//     field of the receiver (append or element assignment) must clear
-//     each snapshot field with .Store(nil) — directly or via another
-//     method of the type that does.
-//  2. Everywhere else: a function that mutates a fact table (a
-//     4-argument .Add or an .AddTuple call) after an engine is in
-//     scope must afterwards call InvalidateTrajectories or ResetCache,
-//     or the engine keeps answering from trajectories, prefilter
-//     R-tree, interval cache and sample grid built over the old rows.
-//     Mutations before the engine exists are fine — the caches build
-//     lazily on first query.
+// derived-state contract inside a package defining a snapshot-bearing
+// table (a struct with an atomic.Pointer snapshot field, like
+// moft.Table's columnar snapshot): every exported method that mutates
+// a slice field of the receiver (append or element assignment) must
+// clear each snapshot field with .Store(nil) — directly or via another
+// method of the type that does. The engine's caches need no such
+// rule: they belong to a table version, and loading rows into a table
+// gives it a new one.
 var AnalyzerCacheInvalidate = &Analyzer{
 	Name: "cacheinvalidate",
-	Doc:  "table mutations must clear snapshots / invalidate engine caches",
+	Doc:  "table mutations must clear snapshots",
 	Run:  runCacheInvalidate,
 }
 
@@ -32,7 +24,6 @@ func runCacheInvalidate(pkgs []*Package) []Finding {
 	var out []Finding
 	for _, p := range pkgs {
 		out = append(out, checkSnapshotClearing(p)...)
-		out = append(out, checkEngineInvalidation(p)...)
 	}
 	return out
 }
@@ -213,131 +204,6 @@ func checkSnapshotClearing(p *Package) []Finding {
 					out = append(out, p.finding("cacheinvalidate", fd.Name,
 						"exported method %s.%s mutates %s but never clears snapshot field %s (missing %s.Store(nil))",
 						recvType, fd.Name.Name, field, snap, snap))
-				}
-			}
-		}
-	}
-	return out
-}
-
-// --- rule 2: engine-visible mutations ---------------------------------
-
-// isTableMutationCall matches the moft.Table mutators — Add(oid, t,
-// x, y) and AddTuple(tp) — on any expression whose static type is
-// moft.Table; the declaration form of the receiver no longer matters.
-func isTableMutationCall(p *Package, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	switch sel.Sel.Name {
-	case "AddTuple", "Add":
-	default:
-		return false
-	}
-	return typeIsTail(p.typeOf(sel.X), "moft", "Table")
-}
-
-// isEngineValue reports whether t is a named Engine type (the core
-// engine or a fixture stand-in carrying the same name).
-func isEngineValue(t types.Type) bool {
-	return typeNameIs(t, "Engine")
-}
-
-// enginePos returns the earliest position at which a query engine is
-// in scope in the function: the position of a call producing an
-// *Engine, or the function start when an engine arrives via
-// parameter, receiver, or a field selector of Engine type.
-// token.NoPos when no engine is visible.
-func enginePos(p *Package, fd *ast.FuncDecl) token.Pos {
-	if fd.Recv != nil {
-		for _, fld := range fd.Recv.List {
-			if isEngineValue(p.typeOf(fld.Type)) {
-				return fd.Body.Pos()
-			}
-		}
-	}
-	if fd.Type.Params != nil {
-		for _, fld := range fd.Type.Params.List {
-			if isEngineValue(p.typeOf(fld.Type)) {
-				return fd.Body.Pos()
-			}
-		}
-	}
-	// A selector that is only ever the target of an assignment is the
-	// engine's construction, not evidence it already exists.
-	assigned := map[ast.Expr]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if as, ok := n.(*ast.AssignStmt); ok {
-			for _, lhs := range as.Lhs {
-				assigned[lhs] = true
-			}
-		}
-		return true
-	})
-	pos := token.NoPos
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.SelectorExpr:
-			// s.Engine.Method(...): an engine read from a field is in
-			// scope for the whole function.
-			if isEngineValue(p.typeOf(v)) && p.selectionField(v) != nil && !assigned[v] {
-				pos = fd.Body.Pos()
-				return false
-			}
-		case *ast.CallExpr:
-			// A call producing an engine (core.New, ...) brings it in
-			// scope from the call onward.
-			if isEngineValue(p.typeOf(v)) {
-				if pos == token.NoPos || v.Pos() < pos {
-					pos = v.Pos()
-				}
-			}
-		}
-		return true
-	})
-	return pos
-}
-
-// checkEngineInvalidation applies rule 2 to every function of
-// packages other than the snapshot-defining table package itself.
-func checkEngineInvalidation(p *Package) []Finding {
-	if pathTail(p.Path) == "moft" {
-		return nil // rule 1 governs the table package
-	}
-	var out []Finding
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			engine := enginePos(p, fd)
-			if engine == token.NoPos {
-				continue
-			}
-			var mutations []*ast.CallExpr
-			lastInvalidate := token.NoPos
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if isTableMutationCall(p, call) && call.Pos() > engine {
-					mutations = append(mutations, call)
-				}
-				switch calleeName(call) {
-				case "InvalidateTrajectories", "ResetCache":
-					if call.Pos() > lastInvalidate {
-						lastInvalidate = call.Pos()
-					}
-				}
-				return true
-			})
-			for _, m := range mutations {
-				if lastInvalidate == token.NoPos || lastInvalidate < m.Pos() {
-					out = append(out, p.finding("cacheinvalidate", m,
-						"table mutated after an engine is in scope without a later InvalidateTrajectories/ResetCache; cached trajectories, prefilter, intervals and grid go stale"))
 				}
 			}
 		}

@@ -9,8 +9,7 @@
 //     their atomic methods, and sync.Once/Mutex/RWMutex fields are
 //     never copied or passed by value;
 //   - cacheinvalidate — mutations of snapshot-bearing tables clear
-//     their derived state, and engine-visible table mutations route
-//     through InvalidateTrajectories/ResetCache;
+//     their derived state;
 //   - determinism    — the parallel query hot paths stay bit-identical
 //     to serial: no wall-clock, no randomness, no map-iteration-order
 //     result assembly without a subsequent sort;

@@ -1,14 +1,8 @@
-// Package bad mutates tables without invalidating derived state —
-// both forms the cacheinvalidate analyzer must catch.
+// Package bad mutates a table without clearing its derived snapshot,
+// which the cacheinvalidate analyzer must catch.
 package bad
 
-import (
-	"sync/atomic"
-
-	"mogis/internal/core"
-	"mogis/internal/fo"
-	"mogis/internal/moft"
-)
+import "sync/atomic"
 
 type Columns struct{}
 
@@ -27,20 +21,4 @@ func (t *Table) Append(v int) { // want
 // Set overwrites an element without clearing the snapshot (rule 1).
 func (t *Table) Set(i, v int) { // want
 	t.tuples[i] = v
-}
-
-// refill mutates a fact table while an engine is in scope and never
-// invalidates it (rule 2).
-func refill(eng *core.Engine, ctx *fo.Context) {
-	tb, _ := ctx.Table("bus")
-	tb.Add(1, 2, 3, 4) // want
-}
-
-// lateMutation invalidates, then mutates again afterwards (rule 2:
-// the invalidation must come after the last mutation).
-func lateMutation(eng *core.Engine, ctx *fo.Context) {
-	tb, _ := ctx.Table("bus")
-	tb.AddTuple(moft.Tuple{})
-	eng.InvalidateTrajectories("bus")
-	tb.AddTuple(moft.Tuple{}) // want
 }

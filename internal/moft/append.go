@@ -44,8 +44,11 @@ func (e *AppendError) Unwrap() error { return e.Err }
 // the run headers (O(objects)) and rebuilds each touched run with one
 // exact-size allocation. Because accepted rows are always after their
 // object's latest sample, a touched run is its old rows followed by
-// the batch's, with no merge. t is never written, so any number of
-// versions may be derived from one parent while readers use it.
+// the batch's, with no merge. t's rows are never written, so any
+// number of versions may be derived from one parent while readers use
+// it. The first version derived from t continues t's lineage; any
+// later one, a sibling, starts its own, so that a lineage stays a
+// chain.
 func (t *Table) WithAppended(batch []Tuple) (*Table, error) {
 	add, err := t.plan(batch)
 	if err != nil {
@@ -58,7 +61,10 @@ func (t *Table) WithAppended(batch []Tuple) (*Table, error) {
 	// already, and the stable sort keeps them so.
 	sort.SliceStable(add, func(i, j int) bool { return add[i].Oid < add[j].Oid })
 
-	next := &Table{name: t.name, n: t.n + len(add)}
+	next := &Table{name: t.name, n: t.n + len(add), lineage: t.lineage, seq: t.seq + 1}
+	if !t.derived.CompareAndSwap(false, true) {
+		next.lineage, next.seq = newLineage(), 0
+	}
 	runs := make([]objRun, 0, len(t.runs)+len(add))
 	old := t.runs
 	for j := 0; j < len(add); {

@@ -444,3 +444,112 @@ func BenchmarkWithAppended(b *testing.B) {
 		}
 	}
 }
+
+// diffObjects is the reference for Since: the objects whose rows
+// differ between two tables, or that only t has, ascending.
+func diffObjects(t, ancestor *Table) []Oid {
+	var out []Oid
+	for _, o := range t.Objects() {
+		if !slices.Equal(t.ObjectTuples(o), ancestor.ObjectTuples(o)) {
+			out = append(out, o)
+		}
+	}
+	return out
+}
+
+// TestSinceMatchesDiff: along a chain of random batches, Since names
+// exactly the objects whose rows differ from any earlier version of
+// the chain, readers skipping versions included. It refuses what does
+// not descend: an earlier version asked about a later one, a sibling,
+// an unrelated table holding the same rows.
+func TestSinceMatchesDiff(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		cur, h := randomParent(rng)
+		chain := []*Table{cur}
+		for step := rng.Intn(6) + 1; step > 0; step-- {
+			batch, add := randomBatch(rng, h)
+			next, err := cur.WithAppended(batch)
+			if err != nil {
+				t.Logf("seed %d: valid batch rejected: %v", seed, err)
+				return false
+			}
+			for _, tp := range add {
+				h.add(tp)
+			}
+			if next != cur {
+				chain = append(chain, next)
+			}
+			cur = next
+		}
+		for i, anc := range chain {
+			changed, ok := cur.Since(anc)
+			if want := diffObjects(cur, anc); !ok || !slices.Equal(changed, want) {
+				t.Logf("seed %d: Since(version %d) = %v, %v; want %v", seed, i, changed, ok, want)
+				return false
+			}
+			if _, ok := anc.Since(cur); ok && anc != cur {
+				t.Logf("seed %d: version %d descends from a later one", seed, i)
+				return false
+			}
+		}
+		if _, ok := cur.Since(rebuild(rng, h.rows)); ok {
+			t.Logf("seed %d: an unrelated table counts as an ancestor", seed)
+			return false
+		}
+		// The first child of the newest version continues the lineage;
+		// a second child of an older one starts its own.
+		row := []Tuple{{Oid: 1 << 40, T: 1}}
+		child, err := cur.WithAppended(row)
+		if err != nil {
+			t.Logf("seed %d: batch rejected: %v", seed, err)
+			return false
+		}
+		if changed, ok := child.Since(cur); !ok || !slices.Equal(changed, []Oid{1 << 40}) {
+			t.Logf("seed %d: first child: Since = %v, %v", seed, changed, ok)
+			return false
+		}
+		if len(chain) > 1 {
+			sib, err := chain[0].WithAppended(row)
+			if err != nil {
+				t.Logf("seed %d: sibling batch rejected: %v", seed, err)
+				return false
+			}
+			_, up := sib.Since(chain[0])
+			_, across := cur.Since(sib)
+			if up || across {
+				t.Logf("seed %d: a second child shares its parent's lineage", seed)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLoadingAfterReadIsNewVersion: rows loaded in place into a table
+// that has been read give it a new Version outside its old lineage;
+// loading before the first read does not.
+func TestLoadingAfterReadIsNewVersion(t *testing.T) {
+	tb := New("T")
+	tb.Add(1, 10, 0, 0)
+	v := tb.Version()
+	tb.Add(1, 20, 1, 1)
+	if tb.Version() != v {
+		t.Error("loading before the first read changed the version")
+	}
+	child, err := tb.WithAppended([]Tuple{{Oid: 2, T: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := tb.Version()
+	tb.Add(1, 30, 2, 2)
+	if tb.Version() == read {
+		t.Error("loading after a read kept the version")
+	}
+	if _, ok := child.Since(tb); ok {
+		t.Error("a child descends from its parent reloaded in place")
+	}
+}

@@ -1,8 +1,15 @@
 package moft
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
+	"testing/quick"
 
+	"mogis/internal/obs"
 	"mogis/internal/timedim"
 )
 
@@ -115,5 +122,92 @@ func TestColumnarScanAllocs(t *testing.T) {
 	_ = sink
 	if allocs != 0 {
 		t.Errorf("columnar scan allocates %.0f times per pass; want 0", allocs)
+	}
+}
+
+// sortTimeOrder is the reference for radixTimeOrder: the comparison
+// sort TimeOrder used before, on (instant, row).
+func sortTimeOrder(ts []int64) []int32 {
+	p := make([]int32, len(ts))
+	for i := range p {
+		p[i] = int32(i)
+	}
+	sort.Slice(p, func(i, j int) bool {
+		if ts[p[i]] != ts[p[j]] {
+			return ts[p[i]] < ts[p[j]]
+		}
+		return p[i] < p[j]
+	})
+	return p
+}
+
+// checkTimeOrder compares the radix order of ts with the reference.
+func checkTimeOrder(ts []int64) error {
+	minT, maxT := int64(0), int64(0)
+	for i, t := range ts {
+		if i == 0 || t < minT {
+			minT = t
+		}
+		if i == 0 || t > maxT {
+			maxT = t
+		}
+	}
+	if got, want := radixTimeOrder(ts, minT, maxT), sortTimeOrder(ts); !slices.Equal(got, want) {
+		return fmt.Errorf("instants %v: radix %v, want %v", ts, got, want)
+	}
+	return nil
+}
+
+// TestRadixTimeOrderMatchesSort: the radix time order is the
+// permutation the comparison sort gives, on the edge shapes and on
+// random instants of every span width up to the full int64 range.
+func TestRadixTimeOrderMatchesSort(t *testing.T) {
+	for name, ts := range map[string][]int64{
+		"empty":            nil,
+		"one row":          {42},
+		"equal instants":   {7, 7, 7, 7},
+		"negative":         {-5, 3, -5, -1 << 40, 0, 3},
+		"span over 2^16":   {1 << 17, 0, 1<<16 + 1, 1, 1 << 16},
+		"span over 2^32":   {1 << 33, -(1 << 33), 5, 1<<32 + 5, 5},
+		"full int64 range": {math.MaxInt64, math.MinInt64, 0, -1, math.MaxInt64, math.MinInt64},
+	} {
+		if err := checkTimeOrder(ts); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ts := make([]int64, rng.Intn(300))
+		// Spans from 0 to 63 bits, with repeats from the small ones.
+		span := int64(1) << uint(rng.Intn(63))
+		base := rng.Int63n(1<<40) - 1<<39
+		for i := range ts {
+			ts[i] = base + rng.Int63n(span)
+		}
+		if err := checkTimeOrder(ts); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestTimeOrderBuiltOnce: a snapshot builds its time order once,
+// however many callers ask, and counts the build.
+func TestTimeOrderBuiltOnce(t *testing.T) {
+	cols := columnsFixture().Columns()
+	before := obs.Std.MOFTTimeOrders.Value()
+	first := cols.TimeOrder()
+	if !slices.Equal(cols.TimeOrder(), first) {
+		t.Fatal("TimeOrder changed between calls")
+	}
+	if n := obs.Std.MOFTTimeOrders.Value() - before; n != 1 {
+		t.Errorf("time order builds = %d, want 1", n)
+	}
+	if want := sortTimeOrder(cols.T); !slices.Equal(first, want) {
+		t.Errorf("TimeOrder %v, want %v", first, want)
 	}
 }

@@ -47,9 +47,20 @@ func (tp Tuple) Point() geom.Point { return geom.Pt(tp.X, tp.Y) }
 // version that shares every run the batch does not touch, so versions
 // are immutable values and a reader keeps a consistent table for as
 // long as it holds one.
+//
+// Every table state has a Version. The versions WithAppended derives
+// one from another form a lineage: a chain in which runs only grow
+// forward, so Since can name what changed between two of them without
+// looking at a row.
 type Table struct {
 	name string
 	mu   sync.Mutex // guards the lazy sort and the flat and columnar builds
+	// lineage and seq are the table's Version: seq counts the versions
+	// derived since the lineage began.
+	lineage, seq uint64
+	// derived is set by the first WithAppended from this version, the
+	// one that continues its lineage; later children start their own.
+	derived atomic.Bool
 	// pending holds the loaded rows until the first read sorts them;
 	// nil once sorted.
 	pending []Tuple
@@ -75,9 +86,52 @@ type objRun struct {
 
 // New creates an empty MOFT with the given name (e.g. "FMbus").
 func New(name string) *Table {
-	t := &Table{name: name}
+	t := &Table{name: name, lineage: newLineage()}
 	t.sorted.Store(true)
 	return t
+}
+
+// lineages issues lineage tokens; 0 is never issued.
+var lineages atomic.Uint64
+
+func newLineage() uint64 { return lineages.Add(1) }
+
+// Version identifies one state of a table. Two equal Versions hold the
+// same rows: a version derived by WithAppended gets its own, and
+// loading rows into a table that has been read gives it a new one.
+type Version struct{ lineage, seq uint64 }
+
+// Version returns the table's current version.
+func (t *Table) Version() Version { return Version{t.lineage, t.seq} }
+
+// Since returns, ascending, the objects whose samples differ between
+// an ancestor version and t: those whose run grew and those new in t.
+// ok is false when t does not descend from ancestor through
+// WithAppended (another lineage, or a later version); the caller must
+// then treat every object as changed. It costs O(objects): inside a
+// lineage runs only grow forward, so a run changed exactly when its
+// length did.
+func (t *Table) Since(ancestor *Table) (changed []Oid, ok bool) {
+	if ancestor.lineage != t.lineage || ancestor.seq > t.seq {
+		return nil, false
+	}
+	t.ensureSorted()
+	ancestor.ensureSorted()
+	old := ancestor.runs
+	for _, r := range t.runs {
+		if len(old) > 0 && old[0].oid < r.oid {
+			return nil, false // an object vanished: not a descendant
+		}
+		if len(old) > 0 && old[0].oid == r.oid {
+			if len(old[0].rows) != len(r.rows) {
+				changed = append(changed, r.oid)
+			}
+			old = old[1:]
+			continue
+		}
+		changed = append(changed, r.oid)
+	}
+	return changed, len(old) == 0
 }
 
 // Name returns the fact table name.
@@ -96,12 +150,15 @@ func (t *Table) Add(oid Oid, ts timedim.Instant, x, y float64) {
 // runs may be shared with derived versions and with slices handed out
 // to readers, and the next sort must not reorder them. While the table
 // is unsorted no snapshot can exist, so only the first Add after a
-// read clears them.
+// read clears them, and starts a new lineage: the table no longer
+// holds the rows any earlier reader saw under its old Version.
 func (t *Table) AddTuple(tp Tuple) {
 	if t.sorted.Load() {
 		if t.n > 0 {
 			t.pending = appendRuns(make([]Tuple, 0, 2*t.n), t.runs)
 		}
+		t.lineage, t.seq = newLineage(), 0
+		t.derived.Store(false)
 		t.sorted.Store(false)
 		t.flat.Store(nil)
 		t.cols.Store(nil)

@@ -23,6 +23,13 @@ type Metrics struct {
 	LitCacheObjects *Gauge // cached trajectories across all tables
 	LitCacheTables  *Gauge // tables currently cached
 
+	// Work of the per-version caches: trajectories interpolated (every
+	// object on a first build, only the changed ones when a version's
+	// cache derives from its parent's) and per-object inside-intervals
+	// recomputed when a carried-over interval entry is first used.
+	ObjectsInterpolated       *Counter
+	IntervalObjectsRecomputed *Counter
+
 	// Geometry predicate evaluations.
 	GeomPointInPolygon *Counter
 	GeomClip           *Counter
@@ -32,6 +39,7 @@ type Metrics struct {
 	SindexNodeVisits  *Counter
 	MOFTTuplesScanned *Counter
 	MOFTSorts         *Counter // (Oid, t) sorts of loaded rows; ingest never sorts
+	MOFTTimeOrders    *Counter // (instant, row) orders of a columnar snapshot built
 
 	// Trajectory-query spatial prefilter: per-table R-tree over
 	// trajectory bounding boxes. Candidates survive the envelope test
@@ -91,6 +99,9 @@ func NewMetrics(r *Registry) *Metrics {
 		LitCacheObjects: r.Gauge("mogis_litcache_objects", "interpolated trajectories currently cached"),
 		LitCacheTables:  r.Gauge("mogis_litcache_tables", "fact tables with a cached trajectory set"),
 
+		ObjectsInterpolated:       r.Counter("mogis_core_objects_interpolated_total", "object trajectories interpolated by cache builds and derivations"),
+		IntervalObjectsRecomputed: r.Counter("mogis_core_interval_objects_recomputed_total", "per-object inside-intervals recomputed for a carried-over interval entry"),
+
 		GeomPointInPolygon: r.Counter("mogis_geom_point_in_polygon_total", "point-in-polygon locations evaluated"),
 		GeomClip:           r.Counter("mogis_geom_clip_total", "convex ring clips evaluated"),
 		GeomDistance:       r.Counter("mogis_geom_distance_total", "distance predicates evaluated"),
@@ -98,6 +109,7 @@ func NewMetrics(r *Registry) *Metrics {
 		SindexNodeVisits:  r.Counter("mogis_sindex_node_visits_total", "R-tree nodes visited during searches"),
 		MOFTTuplesScanned: r.Counter("mogis_moft_tuples_scanned_total", "MOFT tuples delivered by scans"),
 		MOFTSorts:         r.Counter("mogis_moft_sorts_total", "MOFT pending-row sorts on first read after loading"),
+		MOFTTimeOrders:    r.Counter("mogis_moft_time_order_builds_total", "time orders of a columnar snapshot built"),
 
 		PrefilterCandidates: r.Counter("mogis_prefilter_candidates_total", "objects surviving the trajectory-bbox prefilter"),
 		PrefilterSkipped:    r.Counter("mogis_prefilter_skipped_total", "objects skipped by the trajectory-bbox prefilter"),

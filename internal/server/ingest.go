@@ -31,10 +31,11 @@ type ingestResponse struct {
 // handleIngest streams position updates — CSV lines "oid,t,x,y" —
 // into the named MOFT. The table is replaced by a new version that
 // shares every object run the batch does not touch (in-flight queries
-// keep reading the old immutable version), engine trajectory caches
-// are invalidated, and each applied row is folded into the geofence
-// hub. A batch that would make the MOFT stop being a function, or
-// rewrite an object's past, is rejected whole with a typed 422.
+// keep reading the old immutable version; the next query derives the
+// engine's caches for the new one), and each applied row is folded
+// into the geofence hub. A batch that would make the MOFT stop being
+// a function, or rewrite an object's past, is rejected whole with a
+// typed 422.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, id uint64) error {
 	table := r.URL.Query().Get("table")
 	if table == "" {
@@ -130,13 +131,16 @@ func parseCoord(name, field string) (float64, error) {
 }
 
 // applyIngest installs the batch: derive the table's next version
-// (moft.Table.WithAppended, O(batch) plus the run headers), swap it
-// into the model context, drop the engine's cached state for the
-// table, then publish geofence transitions for the applied rows.
-// Batches are serialized by ingestMu — each derives from a stable
-// "current" version — while queries keep running against whichever
-// version they started with. A rejected batch, or one whose every row
-// repeats a stored sample, changes nothing.
+// (moft.Table.WithAppended, O(batch) plus the run headers), publish it
+// in one step by swapping it into the model context, then publish
+// geofence transitions for the applied rows. The engine's caches
+// belong to a table version, so publishing is the invalidation: the
+// first query of the new version derives them from the old version's,
+// in O(batch), and the handler does no cache work at all. Batches are
+// serialized by ingestMu — each derives from a stable "current"
+// version — while queries keep running against whichever version they
+// started with. A rejected batch, or one whose every row repeats a
+// stored sample, changes nothing.
 func (s *Server) applyIngest(table string, rows []moft.Tuple) (applied, events int, err error) {
 	s.ingestMu.Lock()
 	old, err := s.sys.Ctx.Table(table)
@@ -153,7 +157,6 @@ func (s *Server) applyIngest(table string, rows []moft.Tuple) (applied, events i
 	add := old.Applied(rows)
 	if next != old {
 		s.sys.Ctx.AddTable(next)
-		s.sys.Engine.InvalidateTrajectories(table)
 	}
 	s.ingestMu.Unlock()
 
