@@ -56,10 +56,10 @@ serve-smoke:
 	./scripts/mogisd_smoke.sh
 
 # The repository's own static analyzers (internal/lint), type-checked
-# and flow-aware: span lifecycles, atomic-knob access, cache
-# invalidation, determinism, obs naming, context-first plumbing, lock
-# ordering, goroutine joins, budget strides, telemetry brackets, and
-# error wrapping. Nonzero exit on any finding.
+# and flow-aware: span lifecycles, cache invalidation, determinism,
+# obs naming, context-first plumbing, lock ordering, goroutine joins,
+# budget strides, telemetry brackets, and error wrapping. Nonzero
+# exit on any finding.
 lint:
 	$(GO) run ./cmd/moglint ./...
 
@@ -88,7 +88,7 @@ vet-strict: vet
 		-unusedresult.funcs=fmt.Sprintf,fmt.Sprint,fmt.Errorf,mogis/internal/obs.FormatExplain \
 		./...
 
-# Each fuzz target for 10s: point-in-polygon vs the grid-verify scan
+# Each fuzz target for 10s: point-in-polygon vs the grid-count
 # oracle, the Piet-QL parser's no-panic guarantee, the grouped
 # region-set count's grid route vs its scan route, and MOFT appends
 # (accept/reject rule and rebuilt-table identity).

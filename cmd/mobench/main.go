@@ -2,19 +2,16 @@
 // and recorded in EXPERIMENTS.md: the paper-artifact reproductions
 // E1–E6 (Table 1, Figure 1, Figure 2, Remark 1, the Section-4 example
 // queries, the Section-5 Piet-QL pipeline) and the performance
-// studies P1–P3, P5, P7–P11 and P13, and the ablation A1 (P4, P6
-// and P12 are retired; see EXPERIMENTS.md).
+// studies P1–P3, P5, P7, P8, P10, P11 and P13, and the ablation A1
+// (the missing P numbers are retired; see EXPERIMENTS.md).
 //
 // Usage:
 //
 //	mobench               # run everything
 //	mobench -exp E4       # run one experiment
-//	mobench -exp P2,P9    # run several experiments
+//	mobench -exp P2,P10   # run several experiments
 //	mobench -list         # list experiment ids in run order
 //	mobench -full         # larger sweeps for the P-experiments
-//	mobench -workers 8    # cap of the P9 worker-count sweep
-//	mobench -grid-cells 32  # force the grid size in P10/P13's accelerated phases
-//	mobench -time-buckets 64  # force the per-cell time-bucket count (P10/P13)
 //	mobench -metrics      # dump engine metrics (Prometheus text) on exit
 //	mobench -telemetry-addr localhost:6060  # serve /metrics, /debug/stats, ... during the run
 //	mobench -stats stats.json  # write the per-op query-stats table (JSON) on exit
@@ -47,12 +44,9 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "run experiments by id, comma-separated (E1..E6, P1..P3, P5, P7..P11, P13, A1)")
+	exp := flag.String("exp", "", "run experiments by id, comma-separated (E1..E6, P1..P3, P5, P7, P8, P10, P11, P13, A1)")
 	list := flag.Bool("list", false, "list experiment ids")
 	full := flag.Bool("full", false, "run the performance studies at full size")
-	workers := flag.Int("workers", 0, "largest worker count in the P9 fan-out sweep (0 = default {1,2,4})")
-	gridCells := flag.Int("grid-cells", 0, "grid size the grid experiments (P10, P13) use in their accelerated phases (0 = adaptive auto-sizing)")
-	timeBuckets := flag.Int("time-buckets", 0, "per-cell time buckets for the grid experiments (0 = adaptive, <0 disables the temporal index)")
 	metrics := flag.Bool("metrics", false, "print engine metrics in Prometheus text format on exit")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve the telemetry HTTP pages (/metrics, /debug/stats, /debug/queries, /debug/traces/{id}) on this address during the run; empty disables")
 	statsPath := flag.String("stats", "", "write the telemetry query-stats table to this file as JSON on exit")
@@ -94,11 +88,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	experiments.SetGridDefaults(*gridCells, *timeBuckets)
-
 	// os.Exit skips defers, so the profile/metrics teardown lives in
 	// run; main only translates its code.
-	code := run(*exp, *full, *metrics, *workers, *cpuprofile, *memprofile, *tracefile)
+	code := run(*exp, *full, *metrics, *cpuprofile, *memprofile, *tracefile)
 	if sigCtx.Err() != nil {
 		// The run was interrupted; the documented cancellation code
 		// wins over whatever partial results produced.
@@ -149,20 +141,7 @@ func writeStats(path string, col *telemetry.Collector) error {
 	return f.Close()
 }
 
-// workerCounts expands the -workers cap into the doubling sweep P9
-// runs: 1, 2, 4, ..., max. Zero keeps P9's default.
-func workerCounts(max int) []int {
-	if max <= 0 {
-		return nil
-	}
-	var out []int
-	for w := 1; w < max; w *= 2 {
-		out = append(out, w)
-	}
-	return append(out, max)
-}
-
-func run(exp string, full, metrics bool, workers int, cpuprofile, memprofile, tracefile string) int {
+func run(exp string, full, metrics bool, cpuprofile, memprofile, tracefile string) int {
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
@@ -206,10 +185,9 @@ func run(exp string, full, metrics bool, workers int, cpuprofile, memprofile, tr
 	if exp != "" {
 		ids = strings.Split(exp, ",")
 	}
-	sweep := workerCounts(workers)
 	var reports []experiments.Report
 	for _, id := range ids {
-		r, ok := experiments.Run(id, full, sweep)
+		r, ok := experiments.Run(id, full)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "mobench: unknown experiment %q (try -list)\n", strings.TrimSpace(id))
 			return 2

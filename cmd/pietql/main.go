@@ -91,7 +91,6 @@ func main() {
 	objects := flag.Int("objects", 100, "synthetic moving objects")
 	seed := flag.Int64("seed", 1, "synthetic generator seed")
 	noOverlay := flag.Bool("no-overlay", false, "disable the precomputed overlay (naive geometry)")
-	timeBuckets := flag.Int("time-buckets", 0, "per-cell time buckets of the pre-aggregated sample grid (0 = adaptive, <0 disables the temporal index, n > 0 forces n buckets)")
 	metrics := flag.Bool("metrics", false, "print engine metrics in Prometheus text format on exit")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve the telemetry HTTP pages (/metrics, /debug/stats, /debug/queries, /debug/traces/{id}) on this address; empty disables the listener")
 	queryLogPath := flag.String("query-log", "", "append the structured JSONL query log to this file (\"-\" for stderr)")
@@ -162,12 +161,6 @@ Flags:
 		}
 		os.Exit(1)
 	}
-	if *timeBuckets != 0 {
-		if tb, ok := sys.Engine.(interface{ SetTimeBuckets(int) }); ok {
-			tb.SetTimeBuckets(*timeBuckets)
-		}
-	}
-
 	switch {
 	case *query != "":
 		exit(runQuery(sys, *query), dump)

@@ -2,7 +2,7 @@ package core_test
 
 import (
 	"context"
-
+	"reflect"
 	"testing"
 
 	"mogis/internal/core"
@@ -27,9 +27,9 @@ func gridWorkload(objects int) (*workload.City, *moft.Table, *core.Engine, *obs.
 }
 
 // TestGridAcceleratedIdentity: every sample-query entry point returns
-// the same answer with the grid enabled, disabled, and in verify
-// mode, over the generated-city neighborhoods and several time
-// windows.
+// the same answer with the grid enabled and disabled, on one engine
+// switched between the two and on two engines side by side, over the
+// generated-city neighborhoods and several time windows.
 func TestGridAcceleratedIdentity(t *testing.T) {
 	city, fm, eng, met := gridWorkload(120)
 	lo, hi, _ := fm.TimeSpan()
@@ -96,21 +96,32 @@ func TestGridAcceleratedIdentity(t *testing.T) {
 		t.Errorf("grid built %d times, want 1 (single-flight)", met.AggGridBuilds.Value())
 	}
 
-	// Verify mode re-runs the slow path inside the engine; any
-	// divergence would fire the mismatch counter.
-	eng.SetGridVerify(true)
-	for _, w := range windows {
-		for _, pg := range polys {
-			if _, err := eng.CountSamplesInside(context.Background(), "FM", pg, w); err != nil {
+	// A second engine with the grid off answers every shape exactly
+	// (reflect.DeepEqual: nil and empty differ) like the grid engine.
+	scan := scanEngine(eng)
+	eng.SetAggGrid(0)
+	for wi, w := range windows {
+		for pi, pg := range polys {
+			gotN, err := eng.CountSamplesInside(context.Background(), "FM", pg, w)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := eng.ObjectsSampledInside(context.Background(), "FM", pg, w); err != nil {
+			wantN, err := scan.CountSamplesInside(context.Background(), "FM", pg, w)
+			if err != nil {
 				t.Fatal(err)
+			}
+			gotO, err := eng.ObjectsSampledInside(context.Background(), "FM", pg, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantO, err := scan.ObjectsSampledInside(context.Background(), "FM", pg, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotN != wantN || !reflect.DeepEqual(gotO, wantO) {
+				t.Errorf("window %d poly %d: grid engine (%d, %#v), scan engine (%d, %#v)", wi, pi, gotN, gotO, wantN, wantO)
 			}
 		}
-	}
-	if n := met.AggGridMismatches.Value(); n != 0 {
-		t.Errorf("verify mode found %d grid/scan mismatches", n)
 	}
 }
 

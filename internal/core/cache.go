@@ -347,15 +347,11 @@ func (tc *tableCache) aggGrid(ctx context.Context, e *Engine) (*agggrid.Grid, er
 			return err
 		}
 		n := int(e.gridCells.Load())
-		cfg := agggrid.Config{NX: n, NY: n, TimeBuckets: int(e.timeBuckets.Load())}
-		if cfg.TimeBuckets == 0 {
-			// Adaptive bucket sizing consults the observed query
-			// windows of the interval-taking grid ops (GeoBlocks-style
-			// query-driven refinement); with no telemetry or no
-			// windowed queries yet, the hint stays 0 and sizing falls
-			// back to extent + density.
-			cfg.WindowHint = e.telemetry().MeanWindow(windowHintOps...)
-		}
+		// Time buckets are sized adaptively: the observed query windows
+		// of the interval-taking grid ops refine the extent + density
+		// seed (GeoBlocks-style query-driven refinement); with no
+		// telemetry or no windowed queries yet, the hint stays 0.
+		cfg := agggrid.Config{NX: n, NY: n, WindowHint: e.telemetry().MeanWindow(windowHintOps...)}
 		g, err := agggrid.BuildCtx(ctx, cols, cfg)
 		if err != nil {
 			return err

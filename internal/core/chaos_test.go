@@ -42,7 +42,7 @@ func coreSites(w *robustWorkload) map[string]func(ctx context.Context) ([]moft.O
 // crosses the grid build.
 func regionSetSites(w *robustWorkload) map[string]func(ctx context.Context) (any, error) {
 	passing := func(ctx context.Context) (any, error) {
-		return w.eng.CountRegionSet(ctx, regionSetQuery(w, false, timedim.SecondsPerHour))
+		return w.eng.CountRegionSet(ctx, regionSetQuery(w.win, false, timedim.SecondsPerHour))
 	}
 	return map[string]func(ctx context.Context) (any, error){
 		faultpoint.CoreLITBuild:       passing,
@@ -50,7 +50,7 @@ func regionSetSites(w *robustWorkload) map[string]func(ctx context.Context) (any
 		faultpoint.CorePrefilter:      passing,
 		faultpoint.CoreIntervalInsert: passing,
 		faultpoint.CoreGridBuild: func(ctx context.Context) (any, error) {
-			return w.eng.CountRegionSet(ctx, regionSetQuery(w, true, timedim.SecondsPerHour))
+			return w.eng.CountRegionSet(ctx, regionSetQuery(w.win, true, timedim.SecondsPerHour))
 		},
 	}
 }

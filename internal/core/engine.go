@@ -91,14 +91,6 @@ type Engine struct {
 	// gridCells configures the pre-aggregated sample grid (0 → default
 	// auto-sizing, n > 0 → n×n cells, negative → grid disabled).
 	gridCells atomic.Int32
-	// gridVerify cross-checks every grid-accelerated result against
-	// the slow path (the exact-identity gate).
-	gridVerify atomic.Bool
-	// timeBuckets configures the grid's per-cell temporal index
-	// (0 → auto-size from extent, density and telemetry's observed
-	// query windows, n > 0 → n buckets per cell, negative → temporal
-	// index disabled).
-	timeBuckets atomic.Int32
 }
 
 // New creates an engine over the model context.
@@ -197,24 +189,6 @@ func (e *Engine) SetAggGrid(n int) {
 
 // gridEnabled reports whether sample queries may use the grid.
 func (e *Engine) gridEnabled() bool { return e.gridCells.Load() >= 0 }
-
-// SetTimeBuckets configures the per-cell temporal index of the sample
-// grid: n < 0 disables it (non-vacuous windows fall back to per-row
-// time filters), 0 restores adaptive sizing (seeded from the table's
-// time extent and sample density, refined by telemetry's observed
-// per-op query windows), n > 0 forces n buckets per cell. Like
-// SetAggGrid, the setting applies to grids built afterwards.
-func (e *Engine) SetTimeBuckets(n int) {
-	if n < 0 {
-		n = -1
-	}
-	e.timeBuckets.Store(int32(n))
-}
-
-// SetGridVerify toggles verify mode: every grid-accelerated result is
-// recomputed on the slow path and compared; a divergence increments
-// AggGridMismatches and the slow result wins. For tests and gates.
-func (e *Engine) SetGridVerify(on bool) { e.gridVerify.Store(on) }
 
 // sampleGrid returns the pre-aggregated grid of the query's table
 // version. Unlike table(), it never triggers the LIT build —
@@ -414,13 +388,6 @@ func (e *Engine) ObjectsSampledAt(ctx context.Context, table string, t timedim.I
 		if err := qc.addRows(ctx, gst.Rows); err != nil {
 			return nil, err
 		}
-		if e.gridVerify.Load() {
-			slow, err := e.objectsSampledAtScan(ctx, qc, tbl, t, pg)
-			if err != nil {
-				return nil, err
-			}
-			out = e.checkOids(out, slow)
-		}
 		if err := qc.addResults(int64(len(out))); err != nil {
 			return nil, err
 		}
@@ -463,25 +430,6 @@ func (e *Engine) objectsSampledAtScan(ctx context.Context, qc *qctl, tbl *moft.T
 		}
 	}
 	return out, nil
-}
-
-// checkOids is the verify-mode identity gate: on any divergence the
-// mismatch counter fires and the slow result wins.
-func (e *Engine) checkOids(fast, slow []moft.Oid) []moft.Oid {
-	if len(fast) == len(slow) {
-		same := true
-		for i := range fast {
-			if fast[i] != slow[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return fast
-		}
-	}
-	e.metrics().AggGridMismatches.Inc()
-	return slow
 }
 
 // ObjectsInterpolatedAt returns the objects whose interpolated
@@ -733,13 +681,6 @@ func (e *Engine) objectsPassingThrough(ctx context.Context, qc *qctl, pg geom.Po
 		}
 		if lo, hi, ok := cols.TimeSpan(); ok && (iv.Hi < lo || iv.Lo > hi) {
 			e.metrics().AggGridTimeSkips.Inc()
-			if e.gridVerify.Load() {
-				slow, serr := e.objectsPassingThroughFull(ctx, qc, pg, iv)
-				if serr != nil {
-					return nil, serr
-				}
-				return e.checkOids(nil, slow), nil
-			}
 			return nil, nil
 		}
 	}
@@ -813,13 +754,6 @@ func (e *Engine) objectsSampledInside(ctx context.Context, qc *qctl, pg geom.Pol
 		out, gst := g.ObjectsSampledStats(pg, int64(iv.Lo), int64(iv.Hi), e.metrics())
 		if err := qc.addRows(ctx, gst.Rows); err != nil {
 			return nil, err
-		}
-		if e.gridVerify.Load() {
-			slow, err := e.objectsSampledInsideScan(ctx, qc, tbl, pg, iv)
-			if err != nil {
-				return nil, err
-			}
-			out = e.checkOids(out, slow)
 		}
 		if err := qc.addResults(int64(len(out))); err != nil {
 			return nil, err
@@ -897,16 +831,6 @@ func (e *Engine) CountSamplesInside(ctx context.Context, table string, pg geom.P
 		n, gst := g.CountSamplesStats(pg, int64(iv.Lo), int64(iv.Hi), e.metrics())
 		if err := qc.addRows(ctx, gst.Rows); err != nil {
 			return 0, err
-		}
-		if e.gridVerify.Load() {
-			slow, err := e.countSamplesScan(ctx, qc, tbl, pg, iv)
-			if err != nil {
-				return 0, err
-			}
-			if slow != n {
-				e.metrics().AggGridMismatches.Inc()
-				return slow, nil
-			}
 		}
 		return n, nil
 	}

@@ -28,7 +28,6 @@ type Querier interface {
 	SetWorkers(int)
 	SetIntervalCacheCap(int)
 	SetAggGrid(int)
-	SetGridVerify(bool)
 
 	// Cache lifecycle. Caches belong to a table version, so publishing
 	// a new version needs neither call: InvalidateTrajectories forgets

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"mogis/internal/agggrid"
@@ -72,8 +71,8 @@ type RegionSetCount struct {
 // CountRegionSet answers the Piet-QL moving-objects part in one call.
 // Sampled semantics count an object in a granule when it has a sample
 // inside one of the polygons at an instant of granule ∩ window;
-// grid-accelerated when the grid is enabled (verify mode cross-checks
-// against the columnar scan). Interpolated semantics clip every
+// grid-accelerated when the grid is enabled, else a columnar scan
+// with the same answer. Interpolated semantics clip every
 // inside-interval to the window and count the object in each granule
 // from the clipped start's granule up to the clipped end, so an
 // interval ending exactly on a granule boundary also counts in the
@@ -115,7 +114,7 @@ func (e *Engine) countRegionSet(ctx context.Context, qc *qctl, q RegionSetQuery)
 			gr = groupedGranules(q.Window, gr.width, cols)
 		}
 		if q.SampledOnly {
-			return e.sampledRegionSet(ctx, qc, q.Table, cols, pgs, q.Window, gr)
+			return e.sampledRegionSet(ctx, qc, cols, pgs, q.Window, gr)
 		}
 	}
 	return e.passingRegionSet(ctx, qc, q.Table, pgs, q.Window, gr)
@@ -243,42 +242,28 @@ func popcount(set []uint64) int {
 // sampledRegionSet answers the sampled shapes: one bitset per granule,
 // filled from the grid (one ObjectsSampledInto per granule × polygon)
 // or, with the grid disabled, by the columnar scan.
-func (e *Engine) sampledRegionSet(ctx context.Context, qc *qctl, table string, cols *moft.Columns, pgs []geom.Polygon, w timedim.Interval, gr granules) (RegionSetCount, error) {
-	sets, words, err := e.sampledSets(ctx, qc, table, cols, pgs, w, gr)
+func (e *Engine) sampledRegionSet(ctx context.Context, qc *qctl, cols *moft.Columns, pgs []geom.Polygon, w timedim.Interval, gr granules) (RegionSetCount, error) {
+	var sets []uint64
+	var words int
+	var err error
+	if e.gridEnabled() {
+		g, gerr := e.sampleGrid(ctx, qc)
+		if gerr != nil {
+			return RegionSetCount{}, gerr
+		}
+		sp := e.mctx.Tracer().Start("regionset_grid")
+		sets, words, err = e.sampledRegionSetGrid(ctx, qc, g, pgs, w, gr)
+		sp.SetCount("polygons", int64(len(pgs)))
+		sp.SetCount("granules", int64(gr.n))
+		sp.End()
+	} else {
+		sets, words, err = e.sampledRegionSetScan(ctx, qc, cols, pgs, w, gr)
+	}
 	if err != nil {
 		return RegionSetCount{}, err
 	}
 	res := gr.count(sets, words, nil)
 	return res, qc.addResults(int64(res.Total))
-}
-
-// sampledSets picks the sampled route; in verify mode the scan
-// re-answers every grid answer and wins on a mismatch.
-func (e *Engine) sampledSets(ctx context.Context, qc *qctl, table string, cols *moft.Columns, pgs []geom.Polygon, w timedim.Interval, gr granules) ([]uint64, int, error) {
-	if !e.gridEnabled() {
-		return e.sampledRegionSetScan(ctx, qc, cols, pgs, w, gr)
-	}
-	g, err := e.sampleGrid(ctx, qc)
-	if err != nil {
-		return nil, 0, err
-	}
-	sp := e.mctx.Tracer().Start("regionset_grid")
-	sets, words, err := e.sampledRegionSetGrid(ctx, qc, g, pgs, w, gr)
-	sp.SetCount("polygons", int64(len(pgs)))
-	sp.SetCount("granules", int64(gr.n))
-	sp.End()
-	if err != nil || !e.gridVerify.Load() {
-		return sets, words, err
-	}
-	slow, slowWords, err := e.sampledRegionSetScan(ctx, qc, cols, pgs, w, gr)
-	if err != nil {
-		return nil, 0, err
-	}
-	if !slices.Equal(sets, slow) {
-		e.metrics().AggGridMismatches.Inc()
-		return slow, slowWords, nil
-	}
-	return sets, words, nil
 }
 
 // sampledRegionSetGrid ORs every polygon's grid answer for each

@@ -88,11 +88,11 @@ func TestPreCancelledContext(t *testing.T) {
 			return err
 		},
 		"CountRegionSet/sampled": func() error {
-			_, err := w.eng.CountRegionSet(ctx, regionSetQuery(w, true, timedim.SecondsPerHour))
+			_, err := w.eng.CountRegionSet(ctx, regionSetQuery(w.win, true, timedim.SecondsPerHour))
 			return err
 		},
 		"CountRegionSet/interpolated": func() error {
-			_, err := w.eng.CountRegionSet(ctx, regionSetQuery(w, false, timedim.SecondsPerHour))
+			_, err := w.eng.CountRegionSet(ctx, regionSetQuery(w.win, false, timedim.SecondsPerHour))
 			return err
 		},
 	}

@@ -44,12 +44,24 @@ func newFuzzFixture(t *testing.T, seed int64) (*robustWorkload, *moft.Table) {
 	return w, fm
 }
 
+// scanEngine returns a second engine over eng's model context with
+// the grid disabled: the scan-path oracle every grid route must equal.
+func scanEngine(eng *core.Engine) *core.Engine {
+	e := core.New(eng.Context())
+	e.SetMetrics(obs.NewMetrics(obs.NewRegistry()))
+	e.SetAggGrid(-1)
+	return e
+}
+
 // routeQueries enumerates every per-object trajectory entry point as a
 // (name, run) pair returning an arbitrary comparable value;
 // reflect.DeepEqual on the values is the byte-identity check (it
-// distinguishes nil from empty slices and maps).
+// distinguishes nil from empty slices and maps). Every windowed entry
+// point runs on the workload window, on a window that ends before the
+// table's first sample (the grid's time-skip path) and on a
+// zero-width window at the workload's mid instant.
 func routeQueries(w *robustWorkload, q core.Querier) map[string]func(ctx context.Context) (any, error) {
-	return map[string]func(ctx context.Context) (any, error){
+	out := map[string]func(ctx context.Context) (any, error){
 		"ObjectsSampledAt": func(ctx context.Context) (any, error) {
 			v, err := q.ObjectsSampledAt(ctx, "FM", w.mid, w.pg)
 			return v, err
@@ -70,58 +82,71 @@ func routeQueries(w *robustWorkload, q core.Querier) map[string]func(ctx context
 			}
 			return out, nil
 		},
-		"ObjectsPassingThrough": func(ctx context.Context) (any, error) {
-			v, err := q.ObjectsPassingThrough(ctx, "FM", w.pg, w.win)
-			return v, err
-		},
-		"ObjectsSampledInside": func(ctx context.Context) (any, error) {
-			v, err := q.ObjectsSampledInside(ctx, "FM", w.pg, w.win)
-			return v, err
-		},
-		"CountSamplesInside": func(ctx context.Context) (any, error) {
-			v, err := q.CountSamplesInside(ctx, "FM", w.pg, w.win)
-			return v, err
-		},
-		"TimeSpentInside": func(ctx context.Context) (any, error) {
-			v, err := q.TimeSpentInside(ctx, "FM", w.pg, w.win)
-			return v, err
-		},
-		"ObjectsEverWithinRadius": func(ctx context.Context) (any, error) {
-			v, err := q.ObjectsEverWithinRadius(ctx, "FM", w.center, w.radius, w.win)
-			return v, err
-		},
-		"CountPassingThroughGeometries": func(ctx context.Context) (any, error) {
-			v, err := q.CountPassingThroughGeometries(ctx, "FM", "Ln", []layer.Gid{1, 2, 3}, w.win)
-			return v, err
-		},
-		"CountRegionSet/sampled-hour": func(ctx context.Context) (any, error) {
-			v, err := q.CountRegionSet(ctx, regionSetQuery(w, true, timedim.SecondsPerHour))
-			return v, err
-		},
-		"CountRegionSet/interpolated-hour": func(ctx context.Context) (any, error) {
-			v, err := q.CountRegionSet(ctx, regionSetQuery(w, false, timedim.SecondsPerHour))
-			return v, err
-		},
-		"CountRegionSet/sampled-ungrouped": func(ctx context.Context) (any, error) {
-			v, err := q.CountRegionSet(ctx, regionSetQuery(w, true, 0))
-			return v, err
-		},
 		"TrajectoryAggregate": func(ctx context.Context) (any, error) {
 			v, err := q.TrajectoryAggregate(ctx, "FM", 7)
 			return v, err
 		},
-		"ObjectsPossiblyPassingThrough": func(ctx context.Context) (any, error) {
-			v, err := q.ObjectsPossiblyPassingThrough(ctx, "FM", w.pg, w.win, 1.5)
-			return v, err
-		},
 	}
+	windows := map[string]timedim.Interval{
+		"":            w.win,
+		"/off-extent": {Lo: w.win.Lo - 500, Hi: w.win.Lo - 1},
+		"/zero-width": {Lo: w.mid, Hi: w.mid},
+	}
+	for suffix, win := range windows {
+		windowed := map[string]func(ctx context.Context) (any, error){
+			"ObjectsPassingThrough": func(ctx context.Context) (any, error) {
+				v, err := q.ObjectsPassingThrough(ctx, "FM", w.pg, win)
+				return v, err
+			},
+			"ObjectsSampledInside": func(ctx context.Context) (any, error) {
+				v, err := q.ObjectsSampledInside(ctx, "FM", w.pg, win)
+				return v, err
+			},
+			"CountSamplesInside": func(ctx context.Context) (any, error) {
+				v, err := q.CountSamplesInside(ctx, "FM", w.pg, win)
+				return v, err
+			},
+			"TimeSpentInside": func(ctx context.Context) (any, error) {
+				v, err := q.TimeSpentInside(ctx, "FM", w.pg, win)
+				return v, err
+			},
+			"ObjectsEverWithinRadius": func(ctx context.Context) (any, error) {
+				v, err := q.ObjectsEverWithinRadius(ctx, "FM", w.center, w.radius, win)
+				return v, err
+			},
+			"CountPassingThroughGeometries": func(ctx context.Context) (any, error) {
+				v, err := q.CountPassingThroughGeometries(ctx, "FM", "Ln", []layer.Gid{1, 2, 3}, win)
+				return v, err
+			},
+			"CountRegionSet/sampled-hour": func(ctx context.Context) (any, error) {
+				v, err := q.CountRegionSet(ctx, regionSetQuery(win, true, timedim.SecondsPerHour))
+				return v, err
+			},
+			"CountRegionSet/interpolated-hour": func(ctx context.Context) (any, error) {
+				v, err := q.CountRegionSet(ctx, regionSetQuery(win, false, timedim.SecondsPerHour))
+				return v, err
+			},
+			"CountRegionSet/sampled-ungrouped": func(ctx context.Context) (any, error) {
+				v, err := q.CountRegionSet(ctx, regionSetQuery(win, true, 0))
+				return v, err
+			},
+			"ObjectsPossiblyPassingThrough": func(ctx context.Context) (any, error) {
+				v, err := q.ObjectsPossiblyPassingThrough(ctx, "FM", w.pg, win, 1.5)
+				return v, err
+			},
+		}
+		for name, run := range windowed {
+			out[name+suffix] = run
+		}
+	}
+	return out
 }
 
 // regionSetQuery is the workload's CountRegionSet shape: neighborhoods
-// 1–3 over the workload window.
-func regionSetQuery(w *robustWorkload, sampled bool, granule int64) core.RegionSetQuery {
+// 1–3 over win.
+func regionSetQuery(win timedim.Interval, sampled bool, granule int64) core.RegionSetQuery {
 	return core.RegionSetQuery{
-		Table: "FM", Layer: "Ln", IDs: []layer.Gid{1, 2, 3}, Window: w.win,
+		Table: "FM", Layer: "Ln", IDs: []layer.Gid{1, 2, 3}, Window: win,
 		Granule: granule, SampledOnly: sampled,
 	}
 }
@@ -129,9 +154,9 @@ func regionSetQuery(w *robustWorkload, sampled bool, granule int64) core.RegionS
 // TestRouteIdentity is the route-independence property test: on
 // randomized tables, every entry point must answer byte-identically
 // (reflect.DeepEqual, including nil-vs-empty conventions) whichever
-// route the engine takes — grid disabled, grid on, grid on in verify
-// mode — and whether the per-object fan-out runs serial or on the
-// default worker pool. The oracle is the grid-off, one-worker answer.
+// route the engine takes — grid disabled or grid on — and whether the
+// per-object fan-out runs serial or on the default worker pool. The
+// oracle is a second, grid-off, one-worker engine over the same model.
 func TestRouteIdentity(t *testing.T) {
 	routes := []struct {
 		name  string
@@ -139,14 +164,13 @@ func TestRouteIdentity(t *testing.T) {
 	}{
 		{"grid-off", func(e *core.Engine) { e.SetAggGrid(-1) }},
 		{"grid-on", func(e *core.Engine) { e.SetAggGrid(0) }},
-		{"grid-verify", func(e *core.Engine) { e.SetAggGrid(0); e.SetGridVerify(true) }},
 	}
-	run := func(t *testing.T, w *robustWorkload, label string) map[string]any {
+	run := func(t *testing.T, w *robustWorkload, q *core.Engine, label string) map[string]any {
 		t.Helper()
-		w.eng.ResetCache()
+		q.ResetCache()
 		out := map[string]any{}
-		for name, q := range routeQueries(w, w.eng) {
-			v, err := q(context.Background())
+		for name, run := range routeQueries(w, q) {
+			v, err := run(context.Background())
 			if err != nil {
 				t.Fatalf("%s %s: %v", label, name, err)
 			}
@@ -156,12 +180,11 @@ func TestRouteIdentity(t *testing.T) {
 	}
 	for _, seed := range []int64{3, 17, 42} {
 		w, _ := newFuzzFixture(t, seed)
-		w.eng.SetAggGrid(-1)
-		w.eng.SetWorkers(1)
-		want := run(t, w, "oracle")
+		oracle := scanEngine(w.eng)
+		oracle.SetWorkers(1)
+		want := run(t, w, oracle, "oracle")
 		for _, rt := range routes {
 			for _, workers := range []int{1, 0} {
-				w.eng.SetGridVerify(false)
 				rt.apply(w.eng)
 				w.eng.SetWorkers(workers)
 				label := rt.name
@@ -170,7 +193,7 @@ func TestRouteIdentity(t *testing.T) {
 				} else {
 					label += "/1-worker"
 				}
-				got := run(t, w, label)
+				got := run(t, w, w.eng, label)
 				for name, v := range got {
 					if !reflect.DeepEqual(v, want[name]) {
 						t.Errorf("seed %d %s %s diverged:\n got %#v\nwant %#v", seed, label, name, v, want[name])
@@ -178,8 +201,8 @@ func TestRouteIdentity(t *testing.T) {
 				}
 			}
 		}
-		if n := w.met.AggGridMismatches.Value(); n != 0 {
-			t.Errorf("seed %d: verify mode found %d grid/scan mismatches", seed, n)
+		if w.met.AggGridTimeSkips.Value() == 0 {
+			t.Errorf("seed %d: the off-extent window never took the time-skip path", seed)
 		}
 	}
 }

@@ -55,109 +55,97 @@ func randomQueryWindow(rng *rand.Rand, lo, hi timedim.Instant) timedim.Interval 
 	}
 }
 
-// TestTemporalFuzz fuzzes region×interval queries through the engine
-// across time-bucket configs (forced 1/16/256, adaptive, disabled):
-// every CountSamplesInside / ObjectsSampledInside /
-// ObjectsPassingThrough answer must be reflect.DeepEqual to the
-// scan-path oracle.
-func TestTemporalFuzz(t *testing.T) {
-	w, fm := newFuzzFixture(t, 21)
-	lo, hi, _ := fm.TimeSpan()
-	rng := rand.New(rand.NewSource(33))
+// regionInterval is one fuzzed region×interval query.
+type regionInterval struct {
+	pg geom.Polygon
+	iv timedim.Interval
+}
 
-	type query struct {
-		pg geom.Polygon
-		iv timedim.Interval
-	}
-	queries := make([]query, 12)
-	for i := range queries {
-		queries[i] = query{
+// randomRegionIntervals draws n queries around the workload's center.
+func randomRegionIntervals(rng *rand.Rand, w *robustWorkload, lo, hi timedim.Instant, n int) []regionInterval {
+	qs := make([]regionInterval, n)
+	for i := range qs {
+		qs[i] = regionInterval{
 			pg: randomQueryPolygon(rng, w.center, w.radius*2),
 			iv: randomQueryWindow(rng, lo, hi),
 		}
 	}
-	type answer struct {
-		count   int
-		sampled []moft.Oid
-		passing []moft.Oid
-	}
-	run := func(q core.Querier) ([]answer, error) {
-		out := make([]answer, len(queries))
-		for i, qq := range queries {
-			n, err := q.CountSamplesInside(context.Background(), "FM", qq.pg, qq.iv)
-			if err != nil {
-				return nil, err
-			}
-			s, err := q.ObjectsSampledInside(context.Background(), "FM", qq.pg, qq.iv)
-			if err != nil {
-				return nil, err
-			}
-			p, err := q.ObjectsPassingThrough(context.Background(), "FM", qq.pg, qq.iv)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = answer{count: n, sampled: s, passing: p}
+	return qs
+}
+
+// regionAnswer is one query's CountSamplesInside /
+// ObjectsSampledInside / ObjectsPassingThrough answer.
+type regionAnswer struct {
+	count   int
+	sampled []moft.Oid
+	passing []moft.Oid
+}
+
+// regionAnswers runs every query on q.
+func regionAnswers(t *testing.T, q core.Querier, qs []regionInterval) []regionAnswer {
+	t.Helper()
+	out := make([]regionAnswer, len(qs))
+	for i, qq := range qs {
+		n, err := q.CountSamplesInside(context.Background(), "FM", qq.pg, qq.iv)
+		if err != nil {
+			t.Fatalf("CountSamplesInside: %v", err)
 		}
-		return out, nil
+		s, err := q.ObjectsSampledInside(context.Background(), "FM", qq.pg, qq.iv)
+		if err != nil {
+			t.Fatalf("ObjectsSampledInside: %v", err)
+		}
+		p, err := q.ObjectsPassingThrough(context.Background(), "FM", qq.pg, qq.iv)
+		if err != nil {
+			t.Fatalf("ObjectsPassingThrough: %v", err)
+		}
+		out[i] = regionAnswer{count: n, sampled: s, passing: p}
 	}
+	return out
+}
+
+// TestTemporalFuzz fuzzes region×interval queries through the engine
+// with the grid and its adaptive temporal index on: every answer must
+// be reflect.DeepEqual to the scan-path oracle, the same engine with
+// the grid off. Forced and disabled bucket counts are swept at the
+// grid's own layer (agggrid's temporal tests).
+func TestTemporalFuzz(t *testing.T) {
+	w, fm := newFuzzFixture(t, 21)
+	lo, hi, _ := fm.TimeSpan()
+	queries := randomRegionIntervals(rand.New(rand.NewSource(33)), w, lo, hi, 12)
 
 	w.eng.SetAggGrid(-1)
 	w.eng.ResetCache()
-	oracle, err := run(w.eng)
-	if err != nil {
-		t.Fatalf("oracle sweep: %v", err)
-	}
+	oracle := regionAnswers(t, w.eng, queries)
 	w.eng.SetAggGrid(0)
-
-	for _, buckets := range []int{1, 16, 256, 0, -1} {
-		w.eng.SetTimeBuckets(buckets)
-		w.eng.ResetCache()
-		got, err := run(w.eng)
-		if err != nil {
-			t.Fatalf("buckets %d: %v", buckets, err)
-		}
-		if !reflect.DeepEqual(got, oracle) {
-			t.Errorf("buckets %d diverged from scan oracle", buckets)
-		}
-	}
-	w.eng.SetTimeBuckets(0)
 	w.eng.ResetCache()
+	if got := regionAnswers(t, w.eng, queries); !reflect.DeepEqual(got, oracle) {
+		t.Error("adaptive temporal index diverged from scan oracle")
+	}
 }
 
-// TestTemporalVerifyMode runs the fuzz shapes under SetGridVerify: the
-// bit-identity gate must hold on the temporal-index paths (zero
-// AggGridMismatches) while the index is demonstrably used.
+// TestTemporalVerifyMode checks the temporal-index paths against a
+// second engine with the grid off, query by query
+// (reflect.DeepEqual), while the index is demonstrably used.
 func TestTemporalVerifyMode(t *testing.T) {
 	w, fm := newFuzzFixture(t, 55)
 	lo, hi, _ := fm.TimeSpan()
-	rng := rand.New(rand.NewSource(56))
-	w.eng.SetGridVerify(true)
-	defer w.eng.SetGridVerify(false)
-	for i := 0; i < 20; i++ {
-		pg := randomQueryPolygon(rng, w.center, w.radius*2)
-		iv := randomQueryWindow(rng, lo, hi)
-		if _, err := w.eng.CountSamplesInside(context.Background(), "FM", pg, iv); err != nil {
-			t.Fatalf("CountSamplesInside: %v", err)
+	queries := randomRegionIntervals(rand.New(rand.NewSource(56)), w, lo, hi, 20)
+	scan := scanEngine(w.eng)
+	for i, q := range queries {
+		qs := queries[i : i+1]
+		if got, want := regionAnswers(t, w.eng, qs), regionAnswers(t, scan, qs); !reflect.DeepEqual(got, want) {
+			t.Errorf("query %d (window %v): grid engine %+v, scan engine %+v", i, q.iv, got, want)
 		}
-		if _, err := w.eng.ObjectsSampledInside(context.Background(), "FM", pg, iv); err != nil {
-			t.Fatalf("ObjectsSampledInside: %v", err)
-		}
-		if _, err := w.eng.ObjectsPassingThrough(context.Background(), "FM", pg, iv); err != nil {
-			t.Fatalf("ObjectsPassingThrough: %v", err)
-		}
-	}
-	if n := w.met.AggGridMismatches.Value(); n != 0 {
-		t.Fatalf("verify mode found %d grid/scan mismatches", n)
 	}
 	if w.met.AggGridTemporalQueries.Value() == 0 {
-		t.Fatal("temporal index never engaged during the verify sweep")
+		t.Fatal("temporal index never engaged during the sweep")
 	}
 }
 
 // TestTemporalPrefilterPassingThrough checks the ObjectsPassingThrough
 // time prefilter: an interval disjoint from the table's sample extent
 // answers empty without building trajectories, counts an
-// AggGridTimeSkips, and verify mode agrees with the full path.
+// AggGridTimeSkips, and agrees with a grid-off engine's full path.
 func TestTemporalPrefilterPassingThrough(t *testing.T) {
 	w, fm := newFuzzFixture(t, 77)
 	_, hi, _ := fm.TimeSpan()
@@ -175,15 +163,13 @@ func TestTemporalPrefilterPassingThrough(t *testing.T) {
 		t.Errorf("AggGridTimeSkips delta = %d, want 1", d)
 	}
 
-	// Verify mode still runs the full path and must agree.
-	w.eng.SetGridVerify(true)
-	got, err = w.eng.ObjectsPassingThrough(context.Background(), "FM", w.pg, off)
-	w.eng.SetGridVerify(false)
+	// A grid-off engine runs the full path and must agree exactly.
+	want, err := scanEngine(w.eng).ObjectsPassingThrough(context.Background(), "FM", w.pg, off)
 	if err != nil {
-		t.Fatalf("verify ObjectsPassingThrough: %v", err)
+		t.Fatalf("scan engine ObjectsPassingThrough: %v", err)
 	}
-	if len(got) != 0 || w.met.AggGridMismatches.Value() != 0 {
-		t.Fatalf("verify mode diverged: got %v, mismatches %d", got, w.met.AggGridMismatches.Value())
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("time-skip answer %#v, full path %#v", got, want)
 	}
 
 	// With the grid disabled the prefilter must stand down and the

@@ -170,7 +170,6 @@ func TestDerivedCacheWork(t *testing.T) {
 	fctx, eng := city.Context(fm)
 	met := obs.NewMetrics(obs.NewRegistry())
 	eng.SetMetrics(met)
-	eng.SetTimeBuckets(8) // the temporal index, and so the time order, in every grid
 	ids := []layer.Gid{1, 2, 3, 4}
 	win := timedim.Interval{Lo: lo, Hi: hi + timedim.SecondsPerHour}
 	query := func() {

@@ -110,9 +110,7 @@ func P10(objects int) Report {
 		return fail(err)
 	}
 
-	cells, buckets := gridDefaults()
-	eng.SetAggGrid(cells) // accelerated: pre-aggregated grid (0 = auto)
-	eng.SetTimeBuckets(buckets)
+	eng.SetAggGrid(0) // accelerated: pre-aggregated grid, auto-sized
 	fastFull, fastDur, err := timedSweep(windows[0])
 	if err != nil {
 		return fail(err)

@@ -2,7 +2,8 @@
 // in DESIGN.md and recorded in EXPERIMENTS.md: the paper-artifact
 // checks E1–E6 (Table 1, Figure 1, Figure 2, Remark 1, the Section-4
 // example queries, and the Section-5 Piet-QL query) and the
-// performance studies P1–P13 (P4, P6 and P12 are retired) that
+// performance studies P1–P3, P5, P7, P8, P10, P11 and P13 (the
+// missing numbers are retired; see EXPERIMENTS.md) that
 // validate the paper's qualitative claims about evaluation strategy,
 // plus the ablation A1. Each experiment returns a printable report so
 // cmd/mobench, tests and benchmarks share one implementation; Run and
@@ -55,30 +56,6 @@ func qctx() context.Context {
 	baseMu.Lock()
 	defer baseMu.Unlock()
 	return baseCtx
-}
-
-var (
-	tuneMu          sync.Mutex
-	tuneGridCells   int
-	tuneTimeBuckets int
-)
-
-// SetGridDefaults overrides the grid sizing the grid experiments (P10,
-// P13) apply in their accelerated phases: cells is the SetAggGrid
-// argument (0 keeps adaptive auto-sizing), buckets the SetTimeBuckets
-// argument (0 keeps adaptive, <0 disables the temporal index).
-// cmd/mobench uses it for -grid-cells/-time-buckets.
-func SetGridDefaults(cells, buckets int) {
-	tuneMu.Lock()
-	defer tuneMu.Unlock()
-	tuneGridCells, tuneTimeBuckets = cells, buckets
-}
-
-// gridDefaults returns the configured accelerated-phase grid sizing.
-func gridDefaults() (cells, buckets int) {
-	tuneMu.Lock()
-	defer tuneMu.Unlock()
-	return tuneGridCells, tuneTimeBuckets
 }
 
 // Report is a rendered experiment result.
@@ -699,10 +676,10 @@ func P8(iters int) Report {
 }
 
 // registry lists every experiment in run order with its default and
-// -full sizes; workers is the P9 fan-out sweep (nil keeps its default).
+// -full sizes.
 var registry = []struct {
 	id  string
-	run func(full bool, workers []int) Report
+	run func(full bool) Report
 }{
 	{"E1", fixed(E1)}, {"E2", fixed(E2)}, {"E3", fixed(E3)},
 	{"E4", fixed(E4)}, {"E5", fixed(E5)}, {"E6", fixed(E6)},
@@ -712,12 +689,6 @@ var registry = []struct {
 	{"P5", sized(func() Report { return P5(nil) }, func() Report { return P5([]int{1000, 4000, 16000, 64000}) })},
 	{"P7", sized(func() Report { return P7(nil) }, func() Report { return P7([]int{100, 400, 1600}) })},
 	{"P8", sized(func() Report { return P8(0) }, func() Report { return P8(2000) })},
-	{"P9", func(full bool, workers []int) Report {
-		if full {
-			return P9(workers, 4000)
-		}
-		return P9(workers, 0)
-	}},
 	{"P10", sized(func() Report { return P10(0) }, func() Report { return P10(4000) })},
 	{"P11", sized(func() Report { return P11(0) }, func() Report { return P11(2000) })},
 	{"P13", sized(func() Report { return P13(0) }, func() Report { return P13(4000) })},
@@ -725,13 +696,13 @@ var registry = []struct {
 }
 
 // fixed registers an experiment that has one size.
-func fixed(f func() Report) func(bool, []int) Report {
-	return func(bool, []int) Report { return f() }
+func fixed(f func() Report) func(bool) Report {
+	return func(bool) Report { return f() }
 }
 
 // sized registers a performance study with a default and a -full size.
-func sized(quick, full func() Report) func(bool, []int) Report {
-	return func(f bool, _ []int) Report {
+func sized(quick, full func() Report) func(bool) Report {
+	return func(f bool) Report {
 		if f {
 			return full()
 		}
@@ -741,11 +712,11 @@ func sized(quick, full func() Report) func(bool, []int) Report {
 
 // Run runs one experiment by identifier (case-insensitive) at its
 // default or -full size; false means the id is unknown.
-func Run(id string, full bool, workers []int) (Report, bool) {
+func Run(id string, full bool) (Report, bool) {
 	id = strings.ToUpper(strings.TrimSpace(id))
 	for _, e := range registry {
 		if e.id == id {
-			return e.run(full, workers), true
+			return e.run(full), true
 		}
 	}
 	return Report{}, false

@@ -57,7 +57,7 @@ func TestPerformanceStudiesSmall(t *testing.T) {
 // retired experiments are unknown.
 func TestByID(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 17 || ids[0] != "E1" || ids[len(ids)-1] != "A1" {
+	if len(ids) != 16 || ids[0] != "E1" || ids[len(ids)-1] != "A1" {
 		t.Errorf("IDs = %v", ids)
 	}
 	seen := map[string]bool{}
@@ -68,12 +68,12 @@ func TestByID(t *testing.T) {
 		seen[id] = true
 	}
 	for _, id := range []string{"e4", " E1 "} {
-		if _, ok := Run(id, false, nil); !ok {
+		if _, ok := Run(id, false); !ok {
 			t.Errorf("Run(%q) failed", id)
 		}
 	}
 	for _, id := range []string{"P4", "P6", "P12", "Z9"} {
-		if _, ok := Run(id, false, nil); ok {
+		if _, ok := Run(id, false); ok {
 			t.Errorf("retired or unknown id %q accepted", id)
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"time"
 
+	"mogis/internal/agggrid"
+	"mogis/internal/geom"
 	"mogis/internal/moft"
 	"mogis/internal/obs"
 	"mogis/internal/timedim"
@@ -20,15 +22,15 @@ import (
 // subtraction, and only the two fringe buckets refine row-by-row.
 //
 // Phase 1 (identity) runs the whole sweep — narrow windows plus
-// vacuous, instant, empty and out-of-extent edge cases — under
-// SetGridVerify(true) and gates on zero AggGridMismatches AND
-// reflect.DeepEqual against the scan-path oracle. Phase 2 (timing)
-// reruns the narrow windows verify-off on three configurations: scan
-// (grid disabled), grid without temporal index, and grid with the
-// adaptive temporal index. The temporal speedup over scan is
-// reported; pass gates on identity only, since timing is
-// host-dependent. objects defaults to 600; mobench -full
-// runs 4000 (400k samples).
+// vacuous, instant, empty and out-of-extent edge cases — on the grid
+// with its adaptive temporal index and gates on reflect.DeepEqual
+// against the scan-path oracle (grid disabled). Phase 2 (timing)
+// reruns the narrow windows on three configurations: scan (grid
+// disabled), a grid built without its temporal index, and the
+// engine's grid with the adaptive temporal index. The temporal speedup
+// over scan is reported; pass gates on identity only, since timing is
+// host-dependent. objects defaults to 600; mobench -full runs 4000
+// (400k samples).
 func P13(objects int) Report {
 	fail := func(err error) Report {
 		return Report{ID: "P13", Title: "per-cell temporal index on region×interval queries", Body: err.Error()}
@@ -80,16 +82,23 @@ func P13(objects int) Report {
 		counts []int
 		objs   [][]moft.Oid
 	}
-	sweep := func(ivs []timedim.Interval) ([]answer, error) {
+	// ask answers one polygon and window: the sample count and the
+	// objects sampled inside.
+	type ask func(pg geom.Polygon, iv timedim.Interval) (int, []moft.Oid, error)
+	engineAsk := func(pg geom.Polygon, iv timedim.Interval) (int, []moft.Oid, error) {
+		n, err := eng.CountSamplesInside(qctx(), "FM", pg, iv)
+		if err != nil {
+			return 0, nil, err
+		}
+		o, err := eng.ObjectsSampledInside(qctx(), "FM", pg, iv)
+		return n, o, err
+	}
+	sweep := func(ivs []timedim.Interval, q ask) ([]answer, error) {
 		out := make([]answer, len(ivs))
 		for w, iv := range ivs {
 			a := answer{counts: make([]int, len(polys)), objs: make([][]moft.Oid, len(polys))}
 			for i, pg := range polys {
-				n, err := eng.CountSamplesInside(qctx(), "FM", pg, iv)
-				if err != nil {
-					return nil, err
-				}
-				o, err := eng.ObjectsSampledInside(qctx(), "FM", pg, iv)
+				n, o, err := q(pg, iv)
 				if err != nil {
 					return nil, err
 				}
@@ -99,60 +108,67 @@ func P13(objects int) Report {
 		}
 		return out, nil
 	}
-	timedSweep := func(ivs []timedim.Interval) ([]answer, time.Duration, error) {
+	timedSweep := func(ivs []timedim.Interval, q ask) ([]answer, time.Duration, error) {
 		// One untimed pass warms caches (columnar snapshot or grid).
-		if _, err := sweep(ivs); err != nil {
+		if _, err := sweep(ivs, q); err != nil {
 			return nil, 0, err
 		}
 		var a []answer
 		t0 := time.Now()
 		for i := 0; i < iters; i++ {
 			var err error
-			if a, err = sweep(ivs); err != nil {
+			if a, err = sweep(ivs, q); err != nil {
 				return nil, 0, err
 			}
 		}
 		return a, time.Since(t0) / iters, nil
 	}
 
-	// Phase 1: exact identity. Scan-path oracle first, then the
-	// temporal-index path under verify mode (every grid answer is
-	// recomputed on the slow path; divergence increments
-	// AggGridMismatches and the slow result wins).
-	cells, buckets := gridDefaults()
+	// Phase 1: exact identity of the temporal-index path against the
+	// scan-path oracle.
 	eng.SetAggGrid(-1)
-	oracle, err := sweep(all)
+	oracle, err := sweep(all, engineAsk)
 	if err != nil {
 		return fail(err)
 	}
-	eng.SetAggGrid(cells)
-	eng.SetTimeBuckets(buckets)
-	eng.SetGridVerify(true)
-	verified, err := sweep(all)
+	eng.SetAggGrid(0)
+	indexed, err := sweep(all, engineAsk)
 	if err != nil {
 		return fail(err)
 	}
-	eng.SetGridVerify(false)
-	identity := reflect.DeepEqual(oracle, verified)
-	mismatches := met.AggGridMismatches.Value()
+	identity := reflect.DeepEqual(oracle, indexed)
 
 	// Phase 2: timing on the narrow windows only.
 	eng.SetAggGrid(-1)
 	eng.ResetCache()
-	scanAns, scanDur, err := timedSweep(narrow)
+	scanAns, scanDur, err := timedSweep(narrow, engineAsk)
 	if err != nil {
 		return fail(err)
 	}
-	eng.SetAggGrid(cells)
-	eng.SetTimeBuckets(-1) // grid on, temporal index off: per-row time filter
-	eng.ResetCache()
-	rowAns, rowDur, err := timedSweep(narrow)
+	// Grid on, temporal index off: every non-vacuous window filters
+	// each covered cell's rows by time.
+	cols, err := fm.ColumnsCtx(qctx())
 	if err != nil {
 		return fail(err)
 	}
-	eng.SetTimeBuckets(buckets) // adaptive temporal index (0 = auto)
+	rowGrid, err := agggrid.BuildCtx(qctx(), cols, agggrid.Config{TimeBuckets: -1})
+	if err != nil {
+		return fail(err)
+	}
+	rowAns, rowDur, err := timedSweep(narrow, func(pg geom.Polygon, iv timedim.Interval) (int, []moft.Oid, error) {
+		n := rowGrid.CountSamples(pg, int64(iv.Lo), int64(iv.Hi), met)
+		o := rowGrid.ObjectsSampled(pg, int64(iv.Lo), int64(iv.Hi), met)
+		if o == nil {
+			o = []moft.Oid{} // the engine answers an empty set non-nil
+		}
+		return n, o, nil
+	})
+	if err != nil {
+		return fail(err)
+	}
+	eng.SetAggGrid(0) // adaptive temporal index
 	eng.ResetCache()
-	bktAns, bktDur, err := timedSweep(narrow)
+	bktAns, bktDur, err := timedSweep(narrow, engineAsk)
 	if err != nil {
 		return fail(err)
 	}
@@ -162,7 +178,7 @@ func P13(objects int) Report {
 	fringe := met.AggGridFringeSamples.Value()
 	interior := met.AggGridInteriorCells.Value()
 	speedup := float64(scanDur) / float64(bktDur)
-	pass := identity && timingIdent && mismatches == 0 && temporalQ > 0 && interior > 0
+	pass := identity && timingIdent && temporalQ > 0 && interior > 0
 
 	ident := func(ok bool) string {
 		if ok {
@@ -180,9 +196,9 @@ func P13(objects int) Report {
 	body := Table([]string{"path", "sweep (count+objects, narrow windows)", "speedup", "identity"}, rows)
 	body += fmt.Sprintf("  workload: %d objects, %d samples, %d polygons × %d windows (%d narrow + %d edge cases)\n",
 		objects, fm.Len(), len(polys), len(all), len(narrow), len(edge))
-	body += fmt.Sprintf("  verify sweep: %d temporal-index answers, %d fringe samples refined, %d mismatches (%s vs oracle)\n",
-		temporalQ, fringe, mismatches, ident(identity))
-	body += "  pass requires exact identity (verify mode + DeepEqual oracle), zero mismatches, and temporal-index\n"
+	body += fmt.Sprintf("  identity sweep: %s vs oracle; %d temporal-index answers, %d fringe samples refined\n",
+		ident(identity), temporalQ, fringe)
+	body += "  pass requires exact identity (DeepEqual against the scan oracle) and temporal-index\n"
 	body += "  hits > 0; the speedup is reported, not gated (host-dependent)\n"
 	return Report{
 		ID:    "P13",

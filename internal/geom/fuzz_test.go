@@ -11,10 +11,10 @@ import (
 )
 
 // FuzzPointInPolygon cross-checks Polygon.ContainsPoint against the
-// pre-aggregated grid's sample count — the same identity the engine's
-// grid-verify mode asserts at query time. A fuzzed triangle and a
-// handful of fuzzed samples go through both paths: a brute-force
-// ContainsPoint scan and agggrid's interior/boundary cell
+// pre-aggregated grid's sample count — the same identity the engine
+// tests assert between a grid engine and a scan engine. A fuzzed
+// triangle and a handful of fuzzed samples go through both paths: a
+// brute-force ContainsPoint scan and agggrid's interior/boundary cell
 // classification with exact refinement. Any divergence is a
 // soundness bug in one of the two.
 func FuzzPointInPolygon(f *testing.F) {

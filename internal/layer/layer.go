@@ -335,9 +335,9 @@ func (l *Layer) ensureLocator() *sindex.PointLocator {
 }
 
 // PolygonsContaining evaluates the infinite rollup relation
-// r^{point,polygon}_L: the ids of all polygons containing p (boundary
-// inclusive, so a point on a shared edge belongs to both neighbors,
-// as the paper notes in Example 1).
+// r^{point,polygon}_L: the ids, ascending, of all polygons containing
+// p (boundary inclusive, so a point on a shared edge belongs to both
+// neighbors, as the paper notes in Example 1).
 func (l *Layer) PolygonsContaining(p geom.Point) []Gid {
 	if len(l.polygons) == 0 {
 		return nil

@@ -85,18 +85,3 @@ func calleeName(call *ast.CallExpr) string {
 	}
 	return ""
 }
-
-// walkWithParents traverses the AST depth-first, calling visit with
-// each node and its ancestor stack (outermost first).
-func walkWithParents(root ast.Node, visit func(n ast.Node, parents []ast.Node)) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		visit(n, stack)
-		stack = append(stack, n)
-		return true
-	})
-}

@@ -5,9 +5,6 @@
 //
 //   - spanend        — every obs.Tracer.Start/Root span is ended on
 //     every path out of the function that opened it;
-//   - atomicknob     — atomic.* knob fields are accessed only through
-//     their atomic methods, and sync.Once/Mutex/RWMutex fields are
-//     never copied or passed by value;
 //   - cacheinvalidate — mutations of snapshot-bearing tables clear
 //     their derived state;
 //   - determinism    — the parallel query hot paths stay bit-identical
@@ -102,7 +99,6 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerSpanEnd,
-		AnalyzerAtomicKnob,
 		AnalyzerCacheInvalidate,
 		AnalyzerDeterminism,
 		AnalyzerMetricName,

@@ -153,7 +153,6 @@ func checkFixtures(t *testing.T, name string) {
 }
 
 func TestSpanEndFixtures(t *testing.T)          { checkFixtures(t, "spanend") }
-func TestAtomicKnobFixtures(t *testing.T)       { checkFixtures(t, "atomicknob") }
 func TestCacheInvalidateFixtures(t *testing.T)  { checkFixtures(t, "cacheinvalidate") }
 func TestDeterminismFixtures(t *testing.T)      { checkFixtures(t, "determinism") }
 func TestMetricNameFixtures(t *testing.T)       { checkFixtures(t, "metricname") }

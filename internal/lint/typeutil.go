@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"strings"
 )
 
 // This file holds the type-resolution helpers the analyzers share.
@@ -113,20 +112,6 @@ func (p *Package) calleeObj(call *ast.CallExpr) types.Object {
 	return nil
 }
 
-// methodCall matches a call to a method with the given name whose
-// receiver type satisfies recvOK, returning the receiver expression.
-func (p *Package) methodCall(call *ast.CallExpr, name string, recvOK func(types.Type) bool) (ast.Expr, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
-		return nil, false
-	}
-	t := p.typeOf(sel.X)
-	if t == nil || !recvOK(t) {
-		return nil, false
-	}
-	return sel.X, true
-}
-
 // constString resolves e to its compile-time string value through the
 // checker's constant folding (literals, constants from any package,
 // concatenations). ok is false for non-constant expressions.
@@ -233,12 +218,6 @@ func (p *Package) fieldOwnerName(field *types.Var) string {
 	return ""
 }
 
-// dirHasTail reports whether the package path's last element equals
-// tail — used where behavior keys on the engine package itself.
-func pkgTailIs(p *Package, tail string) bool {
-	return pathTail(p.Path) == tail
-}
-
 // receiverType resolves a method declaration's receiver to its named
 // type, or nil.
 func (p *Package) receiverType(fd *ast.FuncDecl) *types.Named {
@@ -246,22 +225,6 @@ func (p *Package) receiverType(fd *ast.FuncDecl) *types.Named {
 		return nil
 	}
 	return namedType(p.typeOf(fd.Recv.List[0].Type))
-}
-
-// sameObject reports whether two identifiers denote the same object
-// under the checker (falling back to parser objects, then names, for
-// code the checker could not resolve).
-func (p *Package) sameObject(a, b *ast.Ident) bool {
-	if a == nil || b == nil {
-		return false
-	}
-	if oa, ob := p.objectOf(a), p.objectOf(b); oa != nil && ob != nil {
-		return oa == ob
-	}
-	if a.Obj != nil && b.Obj != nil {
-		return a.Obj == b.Obj
-	}
-	return a.Name == b.Name
 }
 
 // exprString renders a stable identity for a lock expression like
@@ -318,10 +281,4 @@ func (p *Package) lockIdentity(e ast.Expr) string {
 		return ""
 	}
 	return p.Path + ":" + s
-}
-
-// hasSuffixFold reports a case-insensitive suffix match (helper for
-// name-shaped fallbacks kept deliberately narrow).
-func hasSuffixFold(s, suffix string) bool {
-	return len(s) >= len(suffix) && strings.EqualFold(s[len(s)-len(suffix):], suffix)
 }

@@ -64,7 +64,6 @@ type Metrics struct {
 	AggGridBoundaryCells   *Counter
 	AggGridInteriorSamples *Counter // samples accepted without a point-in-polygon test
 	AggGridRefinedSamples  *Counter // samples tested exactly in boundary cells
-	AggGridMismatches      *Counter // verify-mode divergences from the slow path (must stay 0)
 	AggGridTemporalQueries *Counter // non-vacuous windows answered via the per-cell temporal index
 	AggGridFringeSamples   *Counter // interior-cell rows examined in fringe time buckets
 	AggGridTimeSkips       *Counter // queries answered empty from the snapshot's time extent
@@ -125,7 +124,6 @@ func NewMetrics(r *Registry) *Metrics {
 		AggGridBoundaryCells:   r.Counter("mogis_agggrid_boundary_cells_total", "boundary cells refined with exact point-in-polygon tests"),
 		AggGridInteriorSamples: r.Counter("mogis_agggrid_interior_samples_total", "samples accepted from interior cells without a point-in-polygon test"),
 		AggGridRefinedSamples:  r.Counter("mogis_agggrid_refined_samples_total", "boundary-cell samples tested with exact point-in-polygon"),
-		AggGridMismatches:      r.Counter("mogis_agggrid_mismatches_total", "verify-mode grid results that diverged from the slow path"),
 		AggGridTemporalQueries: r.Counter("mogis_agggrid_temporal_queries_total", "non-vacuous time windows answered via the per-cell temporal index"),
 		AggGridFringeSamples:   r.Counter("mogis_agggrid_fringe_samples_total", "interior-cell rows examined one by one in fringe time buckets"),
 		AggGridTimeSkips:       r.Counter("mogis_agggrid_time_skips_total", "interval queries answered empty because the window misses the snapshot's time extent"),

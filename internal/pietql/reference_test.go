@@ -3,6 +3,7 @@ package pietql
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -223,7 +224,9 @@ func sweepWindows(start timedim.Instant) []string {
 // shape — three region sets; hour, day and ungrouped; sampled and
 // interpolated; the windows of sweepWindows — and requires the
 // one-call answer's FormatOutcome to equal the pre-operator
-// reference's byte for byte, with the grid on, off and under verify.
+// reference's byte for byte, with the grid on and off, and the grid
+// engine's Outcome to equal a second, grid-off engine's
+// (reflect.DeepEqual).
 func TestRegionSetMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	for _, cfg := range []struct {
@@ -242,13 +245,17 @@ func TestRegionSetMatchesReference(t *testing.T) {
 		oracle.SetAggGrid(-1)
 		oracle.SetIntervalCacheCap(0)
 		oracle.SetWorkers(1)
+		scanEng := core.New(sys.Ctx)
+		scanEng.SetTelemetry(nil)
+		scanEng.SetAggGrid(-1)
+		scanSys := *sys
+		scanSys.Engine = scanEng
 		routes := []struct {
 			name  string
 			apply func()
 		}{
-			{"grid-on", func() { eng.SetAggGrid(0); eng.SetGridVerify(false) }},
-			{"grid-off", func() { eng.SetAggGrid(-1); eng.SetGridVerify(false) }},
-			{"grid-verify", func() { eng.SetAggGrid(0); eng.SetGridVerify(true) }},
+			{"grid-on", func() { eng.SetAggGrid(0) }},
+			{"grid-off", func() { eng.SetAggGrid(-1) }},
 		}
 		checked, grouped := 0, 0
 		for _, region := range []string{"s5", "school", "river"} {
@@ -284,11 +291,24 @@ func TestRegionSetMatchesReference(t *testing.T) {
 							}
 							checked++
 						}
+						eng.SetAggGrid(0)
+						got, err := sys.Run(ctx, text)
+						if err != nil {
+							t.Fatalf("grid engine %s: %v", text, err)
+						}
+						scan, err := scanSys.Run(ctx, text)
+						if err != nil {
+							t.Fatalf("scan engine %s: %v", text, err)
+						}
+						if !reflect.DeepEqual(got, scan) {
+							t.Errorf("grid engine and scan engine diverged on\n%s\n got %#v\nwant %#v", text, got, scan)
+						}
+						checked++
 					}
 				}
 			}
 		}
-		if checked != 3*3*2*len(sweepWindows(start))*len(routes) || grouped == 0 {
+		if checked != 3*3*2*len(sweepWindows(start))*(len(routes)+1) || grouped == 0 {
 			t.Fatalf("sweep ran %d comparisons, %d non-empty grouped answers", checked, grouped)
 		}
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -179,37 +178,45 @@ func (h *hub) subscriberCount() int {
 	return len(h.subs)
 }
 
-// observe folds one position update into the containment state and
+// observe folds one applied row into the containment state and
 // publishes the enter/leave transitions it causes. Returns the number
-// of events published. Calls are serialized per ingest batch by the
-// caller; the hub lock orders concurrent batches.
-func (h *hub) observe(table string, oid moft.Oid, t timedim.Instant, x, y float64) int {
-	zones := h.lyr.PolygonsContaining(geom.Pt(x, y))
-	sort.Slice(zones, func(i, j int) bool { return zones[i] < zones[j] })
+// of events published. An object the hub holds no state for — its
+// first row since the server started — is seeded from its last sample
+// in from, the table version the batch derived from, so a loaded
+// object already inside a zone does not enter it again. Calls are
+// serialized per ingest batch by the caller; the hub lock orders
+// concurrent batches.
+func (h *hub) observe(table string, from *moft.Table, tp moft.Tuple) int {
+	zones := h.lyr.PolygonsContaining(geom.Pt(tp.X, tp.Y))
 
 	h.mu.Lock()
-	prev := h.state[table][oid]
-	entered, left := diffZones(prev, zones)
-	if len(entered) == 0 && len(left) == 0 {
-		h.mu.Unlock()
-		return 0
-	}
+	defer h.mu.Unlock()
 	tbl := h.state[table]
 	if tbl == nil {
 		tbl = make(map[moft.Oid][]layer.Gid)
 		h.state[table] = tbl
 	}
-	tbl[oid] = zones
+	prev, known := tbl[tp.Oid]
+	if !known {
+		if run := from.ObjectTuples(tp.Oid); len(run) > 0 {
+			last := run[len(run)-1]
+			prev = h.lyr.PolygonsContaining(geom.Pt(last.X, last.Y))
+		}
+	}
+	entered, left := diffZones(prev, zones)
+	if known && len(entered) == 0 && len(left) == 0 {
+		return 0
+	}
+	tbl[tp.Oid] = zones
 	n := 0
 	for _, z := range left {
-		h.publishLocked(Event{Type: "leave", Table: table, Oid: oid, Zone: z, T: t, X: x, Y: y})
+		h.publishLocked(Event{Type: "leave", Table: table, Oid: tp.Oid, Zone: z, T: tp.T, X: tp.X, Y: tp.Y})
 		n++
 	}
 	for _, z := range entered {
-		h.publishLocked(Event{Type: "enter", Table: table, Oid: oid, Zone: z, T: t, X: x, Y: y})
+		h.publishLocked(Event{Type: "enter", Table: table, Oid: tp.Oid, Zone: z, T: tp.T, X: tp.X, Y: tp.Y})
 		n++
 	}
-	h.mu.Unlock()
 	return n
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -151,6 +152,57 @@ func TestGeofenceEnterLeave(t *testing.T) {
 	typ, ev = c.next(t)
 	if typ != "leave" || ev.Oid != 8001 || ev.Zone != zone {
 		t.Fatalf("frame %s %+v, want leave from zone %d", typ, ev, zone)
+	}
+}
+
+// TestGeofenceSeededFromTable: the hub's containment state for an
+// object it has not seen since start comes from the object's last
+// sample in the table. Objects 8101 and 8102 were loaded inside
+// neighborhood 1; a new row still inside publishes nothing, and a
+// first ingested row outside publishes exactly one leave.
+func TestGeofenceSeededFromTable(t *testing.T) {
+	s, base := startServer(t, func(cfg *Config) {
+		tbl, err := cfg.System.Ctx.Table("FMbus")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl.Add(8101, 10, 0.5, 0.5)
+		tbl.Add(8102, 10, 0.5, 0.5)
+	})
+	c := dialSSE(t, base, "")
+	defer c.close()
+	if typ, _ := c.next(t); typ != "hello" {
+		t.Fatalf("first frame %q, want hello", typ)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for s.Subscribers() == 0 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	ingest := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(base+"/ingest?table=FMbus", "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var r ingestResponse
+		if err := json.NewDecoder(resp.Body).Decode(&r); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %q: status %d, %v", body, resp.StatusCode, err)
+		}
+		return r.Events
+	}
+	if n := ingest("8101,20,0.6,0.6\n"); n != 0 {
+		t.Fatalf("row still inside the loaded zone published %d events, want 0", n)
+	}
+	for _, oid := range []int64{8102, 8101} {
+		if n := ingest(fmt.Sprintf("%d,30,-50,-50\n", oid)); n != 1 {
+			t.Fatalf("oid %d: row outside the loaded zone published %d events, want 1", oid, n)
+		}
+		typ, ev := c.next(t)
+		if typ != "leave" || int64(ev.Oid) != oid || ev.Zone == 0 {
+			t.Fatalf("frame %s %+v, want leave for oid %d", typ, ev, oid)
+		}
 	}
 }
 

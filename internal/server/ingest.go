@@ -133,7 +133,8 @@ func parseCoord(name, field string) (float64, error) {
 // applyIngest installs the batch: derive the table's next version
 // (moft.Table.WithAppended, O(batch) plus the run headers), publish it
 // in one step by swapping it into the model context, then publish
-// geofence transitions for the applied rows. The engine's caches
+// geofence transitions for the applied rows (an object's first row
+// since start diffs against its last sample in the old version). The engine's caches
 // belong to a table version, so publishing is the invalidation: the
 // first query of the new version derives them from the old version's,
 // in O(batch), and the handler does no cache work at all. Batches are
@@ -162,7 +163,7 @@ func (s *Server) applyIngest(table string, rows []moft.Tuple) (applied, events i
 
 	if s.hub != nil {
 		for _, tp := range add {
-			events += s.hub.observe(table, tp.Oid, tp.T, tp.X, tp.Y)
+			events += s.hub.observe(table, old, tp)
 		}
 	}
 	return len(add), events, nil
