@@ -58,8 +58,7 @@ serve-smoke:
 # The repository's own static analyzers (internal/lint), type-checked
 # and flow-aware: span lifecycles, cache invalidation, determinism,
 # obs naming, context-first plumbing, lock ordering, goroutine joins,
-# budget strides, telemetry brackets, and error wrapping. Nonzero
-# exit on any finding.
+# budget strides, and error wrapping. Nonzero exit on any finding.
 lint:
 	$(GO) run ./cmd/moglint ./...
 
@@ -71,9 +70,11 @@ lint-sarif:
 
 # The fault-injection suite: every faultpoint site armed in every
 # mode, under the race detector — cache coherence, typed errors, and
-# goroutine hygiene after injected failures.
+# goroutine hygiene after injected failures — plus the typed budget
+# and parse errors (qerr) and the one error-to-outcome classifier
+# (telemetry.OutcomeOf) those failures are recorded under.
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|Cancel|Budget|Panic|Leak' ./internal/core/... ./internal/overlay/... ./internal/faultpoint/...
+	$(GO) test -race -run 'Chaos|Fault|Cancel|Budget|Panic|Leak' ./internal/core/... ./internal/overlay/... ./internal/faultpoint/... ./internal/qerr/... ./internal/telemetry/...
 
 # Fails when any tracked file needs reformatting (prints the paths).
 fmt-check:

@@ -280,7 +280,7 @@ func runQuery(sys *pietql.System, q string) int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "error: %v\n", err)
 		switch {
-		case pietql.IsParseError(err):
+		case qerr.IsParseError(err):
 			return 2
 		case qerr.IsCancel(err):
 			return 4

@@ -48,7 +48,7 @@ import (
 // waiting without affecting the in-flight build.
 //
 // Version rules: a tableCache belongs to one moft.Table version, and a
-// query reads the version and the cache it resolved in begin, never a
+// query reads the version and the cache it resolved in run, never a
 // mix. Publishing a new version of a table (fo.Context.AddTable) is the
 // invalidation: the next query makes a fresh entry for it. When the
 // new version descends from the old one (moft.Table.Since), the first

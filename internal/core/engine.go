@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 
 	"mogis/internal/agggrid"
+	"mogis/internal/faultpoint"
 	"mogis/internal/fo"
 	"mogis/internal/geom"
 	"mogis/internal/gis"
@@ -66,7 +67,7 @@ type Engine struct {
 	// met receives engine metrics (cache hits, query-type counts).
 	met atomic.Pointer[obs.Metrics]
 	// tel, when set, receives one telemetry.QueryRecord per completed
-	// query. Nil disables recording entirely (the begin/done bracket
+	// query. Nil disables recording entirely (the run bracket
 	// then takes no clock reads); unset engines fall back to the
 	// process-wide telemetry.Default collector.
 	tel      atomic.Pointer[telemetry.Collector]
@@ -211,28 +212,26 @@ func (e *Engine) sampleGrid(ctx context.Context, qc *qctl) (*agggrid.Grid, error
 // --- Type 1: spatial aggregation ------------------------------------
 
 // GeometricAggregate evaluates a Definition-4 geometric aggregation.
-func (e *Engine) GeometricAggregate(ctx context.Context, a gis.Aggregation) (v float64, err error) {
-	qc, ctx, done := e.begin(ctx, "geometric_aggregate", "")
-	defer done(&err)
-	e.countQuery(1)
-	if err := qc.step(ctx); err != nil {
-		return 0, err
-	}
-	return a.Evaluate()
+func (e *Engine) GeometricAggregate(ctx context.Context, a gis.Aggregation) (float64, error) {
+	return run(ctx, e, "geometric_aggregate", "", 1, func(ctx context.Context, qc *qctl) (float64, error) {
+		if err := qc.step(ctx); err != nil {
+			return 0, err
+		}
+		return a.Evaluate()
+	})
 }
 
 // --- Type 2: spatial aggregation over numeric conditions ------------
 
 // SummableOverIDs evaluates the summable rewriting Σ_{g∈ids} measure(g)
 // against a GIS fact table.
-func (e *Engine) SummableOverIDs(ctx context.Context, ids []layer.Gid, ft *gis.FactTable, measure string) (v float64, err error) {
-	qc, ctx, done := e.begin(ctx, "summable_over_ids", "")
-	defer done(&err)
-	e.countQuery(2)
-	if err := qc.step(ctx); err != nil {
-		return 0, err
-	}
-	return gis.SummableFromFact(ids, ft, measure).Evaluate()
+func (e *Engine) SummableOverIDs(ctx context.Context, ids []layer.Gid, ft *gis.FactTable, measure string) (float64, error) {
+	return run(ctx, e, "summable_over_ids", "", 2, func(ctx context.Context, qc *qctl) (float64, error) {
+		if err := qc.step(ctx); err != nil {
+			return 0, err
+		}
+		return gis.SummableFromFact(ids, ft, measure).Evaluate()
+	})
 }
 
 // --- Types 3, 4: region C as a first-order formula -------------------
@@ -240,11 +239,10 @@ func (e *Engine) SummableOverIDs(ctx context.Context, ids []layer.Gid, ft *gis.F
 // RegionC evaluates the formula to the paper's spatio-temporal
 // structure C: a finite relation over the named output variables,
 // e.g. (Oid, t) pairs.
-func (e *Engine) RegionC(ctx context.Context, f fo.Formula, out []fo.Var) (rel *fo.Relation, err error) {
-	qc, ctx, done := e.begin(ctx, "region_c", "")
-	defer done(&err)
-	e.countQuery(3)
-	return e.regionC(ctx, qc, f, out)
+func (e *Engine) RegionC(ctx context.Context, f fo.Formula, out []fo.Var) (*fo.Relation, error) {
+	return run(ctx, e, "region_c", "", 3, func(ctx context.Context, qc *qctl) (*fo.Relation, error) {
+		return e.regionC(ctx, qc, f, out)
+	})
 }
 
 // regionC is RegionC without the Type-3 counter and control bracket,
@@ -270,17 +268,23 @@ func (e *Engine) regionC(ctx context.Context, qc *qctl, f fo.Formula, out []fo.V
 
 // AggregateRegion evaluates region C and applies the γ operator of
 // Definition 7: Q = γ_{fn,measure,groupBy}(C).
-func (e *Engine) AggregateRegion(ctx context.Context, f fo.Formula, out []fo.Var, fn olap.AggFunc, measure fo.Var, groupBy []fo.Var) (res *olap.AggResult, err error) {
-	qc, ctx, done := e.begin(ctx, "aggregate_region", "")
-	defer done(&err)
-	e.countQuery(4)
-	rel, err := e.regionC(ctx, qc, f, out)
-	if err != nil {
-		return nil, err
-	}
+func (e *Engine) AggregateRegion(ctx context.Context, f fo.Formula, out []fo.Var, fn olap.AggFunc, measure fo.Var, groupBy []fo.Var) (*olap.AggResult, error) {
+	return run(ctx, e, "aggregate_region", "", 4, func(ctx context.Context, qc *qctl) (*olap.AggResult, error) {
+		rel, err := e.regionC(ctx, qc, f, out)
+		if err != nil {
+			return nil, err
+		}
+		return e.groupAggregate(rel, fn, measure, groupBy)
+	})
+}
+
+// groupAggregate applies γ to region C under an aggregate_group span.
+// It is a method of its own because spanend does not look inside the
+// function literal AggregateRegion hands to run.
+func (e *Engine) groupAggregate(rel *fo.Relation, fn olap.AggFunc, measure fo.Var, groupBy []fo.Var) (*olap.AggResult, error) {
 	sp := e.mctx.Tracer().Start("aggregate_group")
 	defer sp.End()
-	res, err = rel.GroupAggregate(fn, measure, groupBy)
+	res, err := rel.GroupAggregate(fn, measure, groupBy)
 	if err == nil {
 		sp.SetCount("groups", int64(len(res.Rows)))
 	}
@@ -289,18 +293,17 @@ func (e *Engine) AggregateRegion(ctx context.Context, f fo.Formula, out []fo.Var
 
 // CountRegion evaluates region C and returns its cardinality — the
 // most common aggregation ("number of buses", "number of cars").
-func (e *Engine) CountRegion(ctx context.Context, f fo.Formula, out []fo.Var) (n int, err error) {
-	qc, ctx, done := e.begin(ctx, "count_region", "")
-	defer done(&err)
-	e.countQuery(4)
-	rel, err := e.regionC(ctx, qc, f, out)
-	if err != nil {
-		return 0, err
-	}
-	sp := e.mctx.Tracer().Start("aggregate_count")
-	sp.SetCount("tuples", int64(rel.Len()))
-	sp.End()
-	return rel.Len(), nil
+func (e *Engine) CountRegion(ctx context.Context, f fo.Formula, out []fo.Var) (int, error) {
+	return run(ctx, e, "count_region", "", 4, func(ctx context.Context, qc *qctl) (int, error) {
+		rel, err := e.regionC(ctx, qc, f, out)
+		if err != nil {
+			return 0, err
+		}
+		sp := e.mctx.Tracer().Start("aggregate_count")
+		sp.SetCount("tuples", int64(rel.Len()))
+		sp.End()
+		return rel.Len(), nil
+	})
 }
 
 // RatePerHour divides a region-C cardinality by a time span in hours,
@@ -321,43 +324,43 @@ func RatePerHour(count int, hours float64) float64 {
 // where the number of people with low income exceeds 50,000": the
 // inner aggregation runs per geometry and gates its membership in C.
 func (e *Engine) FilterGeometriesByAggregate(ctx context.Context, layerName string, kind layer.Kind,
-	inner func(layer.Gid) (float64, error), op fo.CmpOp, threshold float64) (out []layer.Gid, err error) {
-	qc, ctx, done := e.begin(ctx, "filter_geometries_by_aggregate", "")
-	defer done(&err)
-	e.countQuery(5)
-	l, ok := e.mctx.GIS().Layer(layerName)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown layer %q", layerName)
-	}
-	for _, id := range l.IDs(kind) {
-		if err := qc.step(ctx); err != nil {
-			return nil, err
+	inner func(layer.Gid) (float64, error), op fo.CmpOp, threshold float64) ([]layer.Gid, error) {
+	return run(ctx, e, "filter_geometries_by_aggregate", "", 5, func(ctx context.Context, qc *qctl) ([]layer.Gid, error) {
+		l, ok := e.mctx.GIS().Layer(layerName)
+		if !ok {
+			return nil, fmt.Errorf("core: unknown layer %q", layerName)
 		}
-		v, err := inner(id)
-		if err != nil {
-			return nil, fmt.Errorf("core: inner aggregate for %s %d: %w", kind, id, err)
+		var out []layer.Gid
+		for _, id := range l.IDs(kind) {
+			if err := qc.step(ctx); err != nil {
+				return nil, err
+			}
+			v, err := inner(id)
+			if err != nil {
+				return nil, fmt.Errorf("core: inner aggregate for %s %d: %w", kind, id, err)
+			}
+			keep := false
+			switch op {
+			case fo.LT:
+				keep = v < threshold
+			case fo.LE:
+				keep = v <= threshold
+			case fo.EQ:
+				keep = v == threshold
+			case fo.NE:
+				keep = v != threshold
+			case fo.GE:
+				keep = v >= threshold
+			case fo.GT:
+				keep = v > threshold
+			}
+			if keep {
+				out = append(out, id)
+			}
 		}
-		keep := false
-		switch op {
-		case fo.LT:
-			keep = v < threshold
-		case fo.LE:
-			keep = v <= threshold
-		case fo.EQ:
-			keep = v == threshold
-		case fo.NE:
-			keep = v != threshold
-		case fo.GE:
-			keep = v >= threshold
-		case fo.GT:
-			keep = v > threshold
-		}
-		if keep {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out, nil
+	})
 }
 
 // --- Type 6: the trajectory as a static object at an instant ---------
@@ -368,32 +371,31 @@ func (e *Engine) FilterGeometriesByAggregate(ctx context.Context, layerName stri
 // is enabled (the default); results are identical either way.
 //
 //moglint:deterministic
-func (e *Engine) ObjectsSampledAt(ctx context.Context, table string, t timedim.Instant, pg geom.Polygon) (out []moft.Oid, err error) {
-	qc, ctx, done := e.begin(ctx, "objects_sampled_at", table)
-	defer done(&err)
-	e.countQuery(6)
-	tbl, err := qc.table()
-	if err != nil {
-		return nil, err
-	}
-	if e.gridEnabled() {
-		g, err := e.sampleGrid(ctx, qc)
+func (e *Engine) ObjectsSampledAt(ctx context.Context, table string, t timedim.Instant, pg geom.Polygon) ([]moft.Oid, error) {
+	return run(ctx, e, "objects_sampled_at", table, 6, func(ctx context.Context, qc *qctl) ([]moft.Oid, error) {
+		tbl, err := qc.table()
 		if err != nil {
 			return nil, err
 		}
-		if err := qc.step(ctx); err != nil {
-			return nil, err
+		if e.gridEnabled() {
+			g, err := e.sampleGrid(ctx, qc)
+			if err != nil {
+				return nil, err
+			}
+			if err := qc.step(ctx); err != nil {
+				return nil, err
+			}
+			out, gst := g.ObjectsSampledStats(pg, int64(t), int64(t), e.metrics())
+			if err := qc.addRows(ctx, gst.Rows); err != nil {
+				return nil, err
+			}
+			if err := qc.addResults(int64(len(out))); err != nil {
+				return nil, err
+			}
+			return out, nil
 		}
-		out, gst := g.ObjectsSampledStats(pg, int64(t), int64(t), e.metrics())
-		if err := qc.addRows(ctx, gst.Rows); err != nil {
-			return nil, err
-		}
-		if err := qc.addResults(int64(len(out))); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	return e.objectsSampledAtScan(ctx, qc, tbl, t, pg)
+		return e.objectsSampledAtScan(ctx, qc, tbl, t, pg)
+	})
 }
 
 // objectsSampledAtScan is the unaccelerated ObjectsSampledAt: a
@@ -436,43 +438,43 @@ func (e *Engine) objectsSampledAtScan(ctx context.Context, qc *qctl, tbl *moft.T
 // position at instant t lies in pg, even between samples.
 //
 //moglint:deterministic
-func (e *Engine) ObjectsInterpolatedAt(ctx context.Context, table string, t timedim.Instant, pg geom.Polygon) (out []moft.Oid, err error) {
-	qc, ctx, done := e.begin(ctx, "objects_interpolated_at", table)
-	defer done(&err)
-	e.countQuery(6)
-	tc, err := e.table(ctx, qc)
-	if err != nil {
-		return nil, err
-	}
-	cand, err := tc.candidates(ctx, e.metrics(), pg.BBox())
-	if err != nil {
-		return nil, err
-	}
-	workers := e.workerCount(len(cand))
-	parts := make([][]moft.Oid, workers)
-	err = forChunks(ctx, workers, len(cand), func(chunk, lo, hi int) error {
-		var local []moft.Oid
-		for i, oid := range cand[lo:hi] {
-			if i%256 == 255 {
-				if err := qc.addRows(ctx, 256); err != nil {
-					return err
+func (e *Engine) ObjectsInterpolatedAt(ctx context.Context, table string, t timedim.Instant, pg geom.Polygon) ([]moft.Oid, error) {
+	return run(ctx, e, "objects_interpolated_at", table, 6, func(ctx context.Context, qc *qctl) ([]moft.Oid, error) {
+		tc, err := e.table(ctx, qc)
+		if err != nil {
+			return nil, err
+		}
+		cand, err := tc.candidates(ctx, e.metrics(), pg.BBox())
+		if err != nil {
+			return nil, err
+		}
+		workers := e.workerCount(len(cand))
+		var out []moft.Oid
+		parts := make([][]moft.Oid, workers)
+		err = forChunks(ctx, workers, len(cand), func(chunk, lo, hi int) error {
+			var local []moft.Oid
+			for i, oid := range cand[lo:hi] {
+				if i%256 == 255 {
+					if err := qc.addRows(ctx, 256); err != nil {
+						return err
+					}
+				}
+				if p, ok := tc.lits[oid].AtInstant(t); ok && pg.ContainsPoint(p) {
+					local = append(local, oid)
 				}
 			}
-			if p, ok := tc.lits[oid].AtInstant(t); ok && pg.ContainsPoint(p) {
-				local = append(local, oid)
-			}
+			parts[chunk] = local
+			return qc.addResults(int64(len(local)))
+		})
+		if err != nil {
+			return nil, err
 		}
-		parts[chunk] = local
-		return qc.addResults(int64(len(local)))
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
 }
 
 // --- Type 7: trajectory queries (interpolation) ----------------------
@@ -480,14 +482,14 @@ func (e *Engine) ObjectsInterpolatedAt(ctx context.Context, table string, t time
 // Trajectories returns (and caches) the linear-interpolation
 // trajectory of every object in the table. The returned map is
 // shared with the cache; callers must not mutate it.
-func (e *Engine) Trajectories(ctx context.Context, table string) (lits map[moft.Oid]*traj.LIT, err error) {
-	qc, ctx, done := e.begin(ctx, "trajectories", table)
-	defer done(&err)
-	tc, err := e.table(ctx, qc)
-	if err != nil {
-		return nil, err
-	}
-	return tc.lits, nil
+func (e *Engine) Trajectories(ctx context.Context, table string) (map[moft.Oid]*traj.LIT, error) {
+	return run(ctx, e, "trajectories", table, 0, func(ctx context.Context, qc *qctl) (map[moft.Oid]*traj.LIT, error) {
+		tc, err := e.table(ctx, qc)
+		if err != nil {
+			return nil, err
+		}
+		return tc.lits, nil
+	})
 }
 
 // view resolves the current version of a table and the cache entry
@@ -537,7 +539,7 @@ func (e *Engine) view(table string) (*moft.Table, *tableCache, error) {
 // any sibling cache (e.g. a built grid next to an aborted LIT build)
 // survives.
 func (e *Engine) dropEntryOnPermanent(tc *tableCache, err error) {
-	if qerr.IsCancel(err) || qerr.IsPanic(err) || IsBudget(err) || isInjected(err) {
+	if qerr.IsCancel(err) || qerr.IsPanic(err) || qerr.IsBudget(err) || faultpoint.IsFault(err) {
 		return
 	}
 	e.mu.Lock()
@@ -652,12 +654,11 @@ func (e *Engine) CacheStats() (tables, objects int) {
 // sampled inside).
 //
 //moglint:deterministic
-func (e *Engine) ObjectsPassingThrough(ctx context.Context, table string, pg geom.Polygon, iv timedim.Interval) (out []moft.Oid, err error) {
-	qc, ctx, done := e.begin(ctx, "objects_passing_through", table)
-	defer done(&err)
-	e.countQuery(7)
-	qc.noteWindow(iv)
-	return e.objectsPassingThrough(ctx, qc, pg, iv)
+func (e *Engine) ObjectsPassingThrough(ctx context.Context, table string, pg geom.Polygon, iv timedim.Interval) ([]moft.Oid, error) {
+	return run(ctx, e, "objects_passing_through", table, 7, func(ctx context.Context, qc *qctl) ([]moft.Oid, error) {
+		qc.noteWindow(iv)
+		return e.objectsPassingThrough(ctx, qc, pg, iv)
+	})
 }
 
 // objectsPassingThrough is ObjectsPassingThrough inside an already
@@ -728,12 +729,11 @@ func (e *Engine) objectsPassingThroughFull(ctx context.Context, qc *qctl, pg geo
 // (the default); results are identical either way.
 //
 //moglint:deterministic
-func (e *Engine) ObjectsSampledInside(ctx context.Context, table string, pg geom.Polygon, iv timedim.Interval) (out []moft.Oid, err error) {
-	qc, ctx, done := e.begin(ctx, "objects_sampled_inside", table)
-	defer done(&err)
-	e.countQuery(7)
-	qc.noteWindow(iv)
-	return e.objectsSampledInside(ctx, qc, pg, iv)
+func (e *Engine) ObjectsSampledInside(ctx context.Context, table string, pg geom.Polygon, iv timedim.Interval) ([]moft.Oid, error) {
+	return run(ctx, e, "objects_sampled_inside", table, 7, func(ctx context.Context, qc *qctl) ([]moft.Oid, error) {
+		qc.noteWindow(iv)
+		return e.objectsSampledInside(ctx, qc, pg, iv)
+	})
 }
 
 // objectsSampledInside is ObjectsSampledInside inside an already open
@@ -811,30 +811,29 @@ func (e *Engine) objectsSampledInsideScan(ctx context.Context, qc *qctl, tbl *mo
 // (the default); results are identical either way.
 //
 //moglint:deterministic
-func (e *Engine) CountSamplesInside(ctx context.Context, table string, pg geom.Polygon, iv timedim.Interval) (n int, err error) {
-	qc, ctx, done := e.begin(ctx, "count_samples_inside", table)
-	defer done(&err)
-	e.countQuery(4)
-	qc.noteWindow(iv)
-	tbl, err := qc.table()
-	if err != nil {
-		return 0, err
-	}
-	if e.gridEnabled() {
-		g, err := e.sampleGrid(ctx, qc)
+func (e *Engine) CountSamplesInside(ctx context.Context, table string, pg geom.Polygon, iv timedim.Interval) (int, error) {
+	return run(ctx, e, "count_samples_inside", table, 4, func(ctx context.Context, qc *qctl) (int, error) {
+		qc.noteWindow(iv)
+		tbl, err := qc.table()
 		if err != nil {
 			return 0, err
 		}
-		if err := qc.step(ctx); err != nil {
-			return 0, err
+		if e.gridEnabled() {
+			g, err := e.sampleGrid(ctx, qc)
+			if err != nil {
+				return 0, err
+			}
+			if err := qc.step(ctx); err != nil {
+				return 0, err
+			}
+			n, gst := g.CountSamplesStats(pg, int64(iv.Lo), int64(iv.Hi), e.metrics())
+			if err := qc.addRows(ctx, gst.Rows); err != nil {
+				return 0, err
+			}
+			return n, nil
 		}
-		n, gst := g.CountSamplesStats(pg, int64(iv.Lo), int64(iv.Hi), e.metrics())
-		if err := qc.addRows(ctx, gst.Rows); err != nil {
-			return 0, err
-		}
-		return n, nil
-	}
-	return e.countSamplesScan(ctx, qc, tbl, pg, iv)
+		return e.countSamplesScan(ctx, qc, tbl, pg, iv)
+	})
 }
 
 // countSamplesScan is the unaccelerated CountSamplesInside: a full
@@ -895,33 +894,32 @@ func clampTotal(ivs []traj.TimeInterval, lo, hi float64) (sum float64, touched b
 // ObjectsEverWithinRadius.
 //
 //moglint:deterministic
-func (e *Engine) TimeSpentInside(ctx context.Context, table string, pg geom.Polygon, iv timedim.Interval) (out map[moft.Oid]float64, err error) {
-	qc, ctx, done := e.begin(ctx, "time_spent_inside", table)
-	defer done(&err)
-	e.countQuery(7)
-	qc.noteWindow(iv)
-	tc, err := e.table(ctx, qc)
-	if err != nil {
-		return nil, err
-	}
-	ivmap, err := e.polygonIntervals(ctx, qc, tc, pg)
-	if err != nil {
-		return nil, err
-	}
-	out = make(map[moft.Oid]float64, len(ivmap))
-	scanned := 0
-	for oid, ivs := range ivmap {
-		if scanned%checkEvery == 0 {
-			if err := qc.step(ctx); err != nil {
-				return nil, err
+func (e *Engine) TimeSpentInside(ctx context.Context, table string, pg geom.Polygon, iv timedim.Interval) (map[moft.Oid]float64, error) {
+	return run(ctx, e, "time_spent_inside", table, 7, func(ctx context.Context, qc *qctl) (map[moft.Oid]float64, error) {
+		qc.noteWindow(iv)
+		tc, err := e.table(ctx, qc)
+		if err != nil {
+			return nil, err
+		}
+		ivmap, err := e.polygonIntervals(ctx, qc, tc, pg)
+		if err != nil {
+			return nil, err
+		}
+		out := make(map[moft.Oid]float64, len(ivmap))
+		scanned := 0
+		for oid, ivs := range ivmap {
+			if scanned%checkEvery == 0 {
+				if err := qc.step(ctx); err != nil {
+					return nil, err
+				}
+			}
+			scanned++
+			if sum, touched := clampTotal(ivs, float64(iv.Lo), float64(iv.Hi)); touched {
+				out[oid] = sum
 			}
 		}
-		scanned++
-		if sum, touched := clampTotal(ivs, float64(iv.Lo), float64(iv.Hi)); touched {
-			out[oid] = sum
-		}
-	}
-	return out, nil
+		return out, nil
+	})
 }
 
 // ObjectsEverWithinRadius returns objects whose interpolated
@@ -932,62 +930,61 @@ func (e *Engine) TimeSpentInside(ctx context.Context, table string, pg geom.Poly
 // with duration 0, symmetric with TimeSpentInside.
 //
 //moglint:deterministic
-func (e *Engine) ObjectsEverWithinRadius(ctx context.Context, table string, center geom.Point, r float64, iv timedim.Interval) (out map[moft.Oid]float64, err error) {
-	qc, ctx, done := e.begin(ctx, "objects_ever_within_radius", table)
-	qc.noteWindow(iv)
-	defer done(&err)
-	e.countQuery(7)
-	tc, err := e.table(ctx, qc)
-	if err != nil {
-		return nil, err
-	}
-	met := e.metrics()
-	box := geom.BBox{MinX: center.X - r, MinY: center.Y - r, MaxX: center.X + r, MaxY: center.Y + r}
-	cand, err := tc.candidates(ctx, met, box)
-	if err != nil {
-		return nil, err
-	}
-	workers := e.workerCount(len(cand))
-	parts := make([]map[moft.Oid]float64, workers)
-	err = forChunks(ctx, workers, len(cand), func(chunk, lo, hi int) error {
-		local := make(map[moft.Oid]float64)
-		rows := int64(0)
-		for _, oid := range cand[lo:hi] {
-			l := tc.lits[oid]
-			if rows += int64(len(l.Sample())); rows >= checkEvery {
-				if err := qc.addRows(ctx, rows); err != nil {
-					return err
+func (e *Engine) ObjectsEverWithinRadius(ctx context.Context, table string, center geom.Point, r float64, iv timedim.Interval) (map[moft.Oid]float64, error) {
+	return run(ctx, e, "objects_ever_within_radius", table, 7, func(ctx context.Context, qc *qctl) (map[moft.Oid]float64, error) {
+		qc.noteWindow(iv)
+		tc, err := e.table(ctx, qc)
+		if err != nil {
+			return nil, err
+		}
+		met := e.metrics()
+		box := geom.BBox{MinX: center.X - r, MinY: center.Y - r, MaxX: center.X + r, MaxY: center.Y + r}
+		cand, err := tc.candidates(ctx, met, box)
+		if err != nil {
+			return nil, err
+		}
+		workers := e.workerCount(len(cand))
+		parts := make([]map[moft.Oid]float64, workers)
+		err = forChunks(ctx, workers, len(cand), func(chunk, lo, hi int) error {
+			local := make(map[moft.Oid]float64)
+			rows := int64(0)
+			for _, oid := range cand[lo:hi] {
+				l := tc.lits[oid]
+				if rows += int64(len(l.Sample())); rows >= checkEvery {
+					if err := qc.addRows(ctx, rows); err != nil {
+						return err
+					}
+					rows = 0
 				}
-				rows = 0
+				ivs := l.WithinRadiusIntervals(center, r)
+				if sum, touched := clampTotal(ivs, float64(iv.Lo), float64(iv.Hi)); touched {
+					local[oid] = sum
+				}
 			}
-			ivs := l.WithinRadiusIntervals(center, r)
-			if sum, touched := clampTotal(ivs, float64(iv.Lo), float64(iv.Hi)); touched {
-				local[oid] = sum
+			parts[chunk] = local
+			if err := qc.addRows(ctx, rows); err != nil {
+				return err
+			}
+			return qc.addResults(int64(len(local)))
+		})
+		if err != nil {
+			return nil, err
+		}
+		out := make(map[moft.Oid]float64)
+		merged := 0
+		for _, local := range parts {
+			for oid, sum := range local {
+				if merged%checkEvery == 0 {
+					if err := qc.step(ctx); err != nil {
+						return nil, err
+					}
+				}
+				merged++
+				out[oid] = sum
 			}
 		}
-		parts[chunk] = local
-		if err := qc.addRows(ctx, rows); err != nil {
-			return err
-		}
-		return qc.addResults(int64(len(local)))
+		return out, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	out = make(map[moft.Oid]float64)
-	merged := 0
-	for _, local := range parts {
-		for oid, sum := range local {
-			if merged%checkEvery == 0 {
-				if err := qc.step(ctx); err != nil {
-					return nil, err
-				}
-			}
-			merged++
-			out[oid] = sum
-		}
-	}
-	return out, nil
 }
 
 // CountPassingThroughGeometries counts the objects whose interpolated
@@ -996,13 +993,12 @@ func (e *Engine) ObjectsEverWithinRadius(ctx context.Context, table string, cent
 // the cached, prefiltered per-polygon interval maps.
 //
 //moglint:deterministic
-func (e *Engine) CountPassingThroughGeometries(ctx context.Context, table, layerName string, ids []layer.Gid, iv timedim.Interval) (n int, err error) {
-	qc, ctx, done := e.begin(ctx, "count_passing_through_geometries", table)
-	defer done(&err)
-	e.countQuery(7)
-	qc.noteWindow(iv)
-	res, err := e.countRegionSet(ctx, qc, RegionSetQuery{Table: table, Layer: layerName, IDs: ids, Window: iv})
-	return res.Total, err
+func (e *Engine) CountPassingThroughGeometries(ctx context.Context, table, layerName string, ids []layer.Gid, iv timedim.Interval) (int, error) {
+	return run(ctx, e, "count_passing_through_geometries", table, 7, func(ctx context.Context, qc *qctl) (int, error) {
+		qc.noteWindow(iv)
+		res, err := e.countRegionSet(ctx, qc, RegionSetQuery{Table: table, Layer: layerName, IDs: ids, Window: iv})
+		return res.Total, err
+	})
 }
 
 // --- Type 8: aggregation over one trajectory -------------------------
@@ -1019,29 +1015,28 @@ type TrajectoryStats struct {
 }
 
 // TrajectoryAggregate computes the Type-8 aggregation for one object.
-func (e *Engine) TrajectoryAggregate(ctx context.Context, table string, oid moft.Oid) (st TrajectoryStats, err error) {
-	qc, ctx, done := e.begin(ctx, "trajectory_aggregate", table)
-	defer done(&err)
-	e.countQuery(8)
-	tc, err := e.table(ctx, qc)
-	if err != nil {
-		return TrajectoryStats{}, err
-	}
-	l, ok := tc.lits[oid]
-	if !ok {
-		return TrajectoryStats{}, fmt.Errorf("core: no trajectory for object O%d", oid)
-	}
-	s := l.Sample()
-	st = TrajectoryStats{
-		Oid:      oid,
-		Samples:  len(s),
-		Length:   s.Length(),
-		Duration: float64(s.TimeDomain().Duration()),
-		MaxSpeed: l.MaxSpeed(),
-		Closed:   s.IsClosed(),
-	}
-	if st.Duration > 0 {
-		st.AvgSpeed = st.Length / st.Duration
-	}
-	return st, nil
+func (e *Engine) TrajectoryAggregate(ctx context.Context, table string, oid moft.Oid) (TrajectoryStats, error) {
+	return run(ctx, e, "trajectory_aggregate", table, 8, func(ctx context.Context, qc *qctl) (TrajectoryStats, error) {
+		tc, err := e.table(ctx, qc)
+		if err != nil {
+			return TrajectoryStats{}, err
+		}
+		l, ok := tc.lits[oid]
+		if !ok {
+			return TrajectoryStats{}, fmt.Errorf("core: no trajectory for object O%d", oid)
+		}
+		s := l.Sample()
+		st := TrajectoryStats{
+			Oid:      oid,
+			Samples:  len(s),
+			Length:   s.Length(),
+			Duration: float64(s.TimeDomain().Duration()),
+			MaxSpeed: l.MaxSpeed(),
+			Closed:   s.IsClosed(),
+		}
+		if st.Duration > 0 {
+			st.AvgSpeed = st.Length / st.Duration
+		}
+		return st, nil
+	})
 }

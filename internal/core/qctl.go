@@ -2,12 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
-	"mogis/internal/faultpoint"
 	"mogis/internal/moft"
 	"mogis/internal/qerr"
 	"mogis/internal/telemetry"
@@ -17,9 +14,10 @@ import (
 // This file implements the engine's per-query control plane: the
 // resource Budget callers attach to a context, the qctl tracker every
 // exported entry point threads through its scan loops and fan-outs,
-// and the begin/done bracket that applies the wall-clock deadline,
-// recovers panics at the API boundary, and classifies how each query
-// ended into the obs counters (cancelled, budget-exceeded, panicked).
+// and run, the one bracket every entry point runs its body in: it
+// applies the wall-clock deadline, recovers panics at the API
+// boundary, and classifies how each query ended into the obs counters
+// (cancelled, budget-exceeded, panicked).
 
 // checkEvery is the row stride between cooperative cancellation and
 // budget checks inside scan loops: a cancel or deadline is observed
@@ -30,7 +28,8 @@ const checkEvery = 1024
 // Budget bounds one query's resource consumption. The zero value is
 // unlimited. Attach it with WithBudget; every engine entry point
 // enforces it at the same cooperative checkpoints that observe
-// cancellation, returning a *BudgetError on the first limit crossed.
+// cancellation, returning a *qerr.BudgetError on the first limit
+// crossed.
 type Budget struct {
 	// MaxRows caps the MOFT rows / trajectory samples the query may
 	// examine (0 = unlimited).
@@ -59,31 +58,6 @@ func BudgetFrom(ctx context.Context) (Budget, bool) {
 	return b, ok
 }
 
-// BudgetError reports a query aborted at a resource budget.
-type BudgetError struct {
-	Resource string // "rows" or "results"
-	Limit    int64
-	Used     int64
-}
-
-func (e *BudgetError) Error() string {
-	return fmt.Sprintf("core: query exceeded its %s budget (%d > %d)", e.Resource, e.Used, e.Limit)
-}
-
-// IsBudget reports whether err is a budget abort.
-func IsBudget(err error) bool {
-	var be *BudgetError
-	return errors.As(err, &be)
-}
-
-// isInjected reports whether err originates at an armed faultpoint —
-// a transient abort that must not evict cache entries (retry after
-// disarming must rebuild cleanly).
-func isInjected(err error) bool {
-	var f *faultpoint.Fault
-	return errors.As(err, &f)
-}
-
 // qctl is one query's control state: the budget in force, the
 // rows/results consumed so far, and the cache hit/miss tally the
 // telemetry record reports, shared atomically across the query's
@@ -99,7 +73,7 @@ type qctl struct {
 	// record so adaptive time-bucket sizing can observe the workload.
 	window atomic.Int64
 
-	// The query's table, resolved once in begin: the version it reads
+	// The query's table, resolved once in run: the version it reads
 	// and the cache entry of exactly that version (see Engine.view), or
 	// the error resolving it. Unset for queries over no table.
 	tbl  *moft.Table
@@ -148,7 +122,7 @@ func (q *qctl) addRows(ctx context.Context, n int64) error {
 	}
 	used := q.rows.Add(n)
 	if max := q.budget.MaxRows; max > 0 && used > max {
-		return &BudgetError{Resource: "rows", Limit: max, Used: used}
+		return &qerr.BudgetError{Resource: "rows", Limit: max, Used: used}
 	}
 	return nil
 }
@@ -160,30 +134,30 @@ func (q *qctl) addResults(n int64) error {
 	}
 	used := q.results.Add(n)
 	if max := q.budget.MaxResults; max > 0 && used > max {
-		return &BudgetError{Resource: "results", Limit: max, Used: used}
+		return &qerr.BudgetError{Resource: "results", Limit: max, Used: used}
 	}
 	return nil
 }
 
-// begin opens the per-query control bracket for an exported entry
-// point: it resolves the context's Budget and, for a query over a
-// table, the table version and its cache entry, applies its wall-clock
-// deadline, and returns the tracker, the (possibly deadlined) context
-// and the done func the entry point must defer with a pointer to its
-// named error result. done recovers any panic that escaped the
-// panic-isolated inner layers, releases the deadline timer, classifies
-// the outcome into the obs counters and the trace, and — when a
-// telemetry collector is attached — records one QueryRecord for the
-// op/table pair. The clock reads happen only when telemetry is on, so
-// the disabled bracket costs the same as before telemetry existed.
-func (e *Engine) begin(ctx context.Context, op, table string) (*qctl, context.Context, func(*error)) {
+// run runs one exported entry point's body inside the query bracket.
+// It resolves the context's Budget and, for a query over a table, the
+// table version and its cache entry, applies the budget's wall-clock
+// deadline, and bumps the type-typ query counter (0 counts nothing).
+// When body returns or panics, run recovers the panic into the
+// returned error, classifies the outcome into the obs counters and the
+// trace, and — when a telemetry collector is attached — records one
+// QueryRecord for the op/table pair. The clock reads happen only when
+// telemetry is on, so the disabled bracket costs the same as before
+// telemetry existed.
+func run[T any](ctx context.Context, e *Engine, op, table string, typ int, body func(context.Context, *qctl) (T, error)) (_ T, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	b, _ := BudgetFrom(ctx)
-	cancel := func() {}
 	if b.Timeout > 0 {
+		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, b.Timeout)
+		defer cancel()
 	}
 	qc := &qctl{budget: b}
 	if table != "" {
@@ -194,60 +168,54 @@ func (e *Engine) begin(ctx context.Context, op, table string) (*qctl, context.Co
 	if tel.Enabled() {
 		start = time.Now()
 	}
-	done := func(errp *error) {
+	defer func() {
 		if v := recover(); v != nil {
-			*errp = qerr.NewPanic("core/query", v)
+			err = qerr.NewPanic("core/query", v)
 		}
-		cancel()
-		out := e.classify(*errp)
-		if tel.Enabled() {
-			rec := telemetry.QueryRecord{
-				Op:          op,
-				Table:       table,
-				Start:       start,
-				Duration:    time.Since(start),
-				Outcome:     out,
-				RowsScanned: qc.rows.Load(),
-				Results:     qc.results.Load(),
-				CacheHits:   qc.cacheHits.Load(),
-				CacheMisses: qc.cacheMisses.Load(),
-				Window:      qc.window.Load(),
-			}
-			if *errp != nil {
-				rec.Err = (*errp).Error()
-			}
-			tel.Record(rec)
+		out := e.classify(err)
+		if !tel.Enabled() {
+			return
 		}
+		rec := telemetry.QueryRecord{
+			Op:          op,
+			Table:       table,
+			Start:       start,
+			Duration:    time.Since(start),
+			Outcome:     out,
+			RowsScanned: qc.rows.Load(),
+			Results:     qc.results.Load(),
+			CacheHits:   qc.cacheHits.Load(),
+			CacheMisses: qc.cacheMisses.Load(),
+			Window:      qc.window.Load(),
+		}
+		if err != nil {
+			rec.Err = err.Error()
+		}
+		tel.Record(rec)
+	}()
+	if typ != 0 {
+		e.countQuery(typ)
 	}
-	return qc, ctx, done
+	return body(ctx, qc)
 }
 
 // classify maps a query's final error to the robustness counters and
-// marks the trace, returning the telemetry outcome. Shared by begin's
-// done func and the helpers that end queries off the main bracket.
+// marks the trace, returning its telemetry outcome.
 func (e *Engine) classify(err error) telemetry.Outcome {
-	if err == nil {
-		return telemetry.OutcomeOK
-	}
+	out := telemetry.OutcomeOf(err)
 	met := e.metrics()
-	var be *BudgetError
-	switch {
-	case qerr.IsCancel(err):
+	switch out {
+	case telemetry.OutcomeCancelled:
 		met.QueriesCancelled.Inc()
 		e.mctx.Tracer().Event("cancel")
-		return telemetry.OutcomeCancelled
-	case errors.As(err, &be):
-		if be.Resource == "rows" {
-			met.BudgetRowsExceeded.Inc()
-			e.mctx.Tracer().Event("budget")
-			return telemetry.OutcomeBudgetRows
-		}
+	case telemetry.OutcomeBudgetRows:
+		met.BudgetRowsExceeded.Inc()
+		e.mctx.Tracer().Event("budget")
+	case telemetry.OutcomeBudgetResults:
 		met.BudgetResultsExceeded.Inc()
 		e.mctx.Tracer().Event("budget")
-		return telemetry.OutcomeBudgetResults
-	case qerr.IsPanic(err):
+	case telemetry.OutcomePanic:
 		met.QueryPanics.Inc()
-		return telemetry.OutcomePanic
 	}
-	return telemetry.OutcomeError
+	return out
 }

@@ -100,7 +100,7 @@ func TestRaceMixQueriesInvalidationFaults(t *testing.T) {
 	close(errCh)
 
 	for err := range errCh {
-		var be *core.BudgetError
+		var be *qerr.BudgetError
 		var f *faultpoint.Fault
 		switch {
 		case qerr.IsCancel(err), qerr.IsPanic(err):

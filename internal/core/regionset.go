@@ -80,12 +80,11 @@ type RegionSetCount struct {
 // CountPassingThroughGeometries.
 //
 //moglint:deterministic
-func (e *Engine) CountRegionSet(ctx context.Context, q RegionSetQuery) (res RegionSetCount, err error) {
-	qc, ctx, done := e.begin(ctx, "count_region_set", q.Table)
-	defer done(&err)
-	e.countQuery(7)
-	qc.noteWindow(q.Window)
-	return e.countRegionSet(ctx, qc, q)
+func (e *Engine) CountRegionSet(ctx context.Context, q RegionSetQuery) (RegionSetCount, error) {
+	return run(ctx, e, "count_region_set", q.Table, 7, func(ctx context.Context, qc *qctl) (RegionSetCount, error) {
+		qc.noteWindow(q.Window)
+		return e.countRegionSet(ctx, qc, q)
+	})
 }
 
 // countRegionSet is CountRegionSet inside an already open bracket.

@@ -9,6 +9,7 @@ import (
 	"mogis/internal/core"
 	"mogis/internal/layer"
 	"mogis/internal/obs"
+	"mogis/internal/qerr"
 	"mogis/internal/scenario"
 	"mogis/internal/timedim"
 	"mogis/internal/workload"
@@ -96,7 +97,7 @@ func TestCountRegionSetBudget(t *testing.T) {
 			Granule: timedim.SecondsPerHour, SampledOnly: sampled}
 		for _, b := range []core.Budget{{MaxRows: 10}, {MaxResults: 1}} {
 			_, err := w.eng.CountRegionSet(core.WithBudget(context.Background(), b), q)
-			var be *core.BudgetError
+			var be *qerr.BudgetError
 			if !errors.As(err, &be) {
 				t.Fatalf("sampled=%v budget %+v: got %v, want *BudgetError", sampled, b, err)
 			}

@@ -177,19 +177,19 @@ func TestGoroutineLeakAfterCancelledQueries(t *testing.T) {
 }
 
 // TestBudgetMaxRows: a tiny row budget aborts a scan-heavy query with
-// a typed *BudgetError and bumps the rows-exceeded counter.
+// a typed *qerr.BudgetError and bumps the rows-exceeded counter.
 func TestBudgetMaxRows(t *testing.T) {
 	w := newRobustWorkload(t)
 	ctx := core.WithBudget(context.Background(), core.Budget{MaxRows: 10})
 	_, err := w.eng.ObjectsPassingThrough(ctx, "FM", w.pg, w.win)
-	var be *core.BudgetError
+	var be *qerr.BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("got %v, want *BudgetError", err)
 	}
 	if be.Resource != "rows" {
 		t.Errorf("Resource = %q, want rows", be.Resource)
 	}
-	if !core.IsBudget(err) {
+	if !qerr.IsBudget(err) {
 		t.Error("IsBudget(err) = false")
 	}
 	if got := w.met.BudgetRowsExceeded.Value(); got == 0 {
@@ -215,7 +215,7 @@ func TestBudgetMaxResults(t *testing.T) {
 		w.eng.SetAggGrid(0)
 		_, err = w.eng.ObjectsSampledInside(ctx, "FM", w.pg, big)
 	}
-	var be *core.BudgetError
+	var be *qerr.BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("got %v, want *BudgetError", err)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -80,10 +82,10 @@ func TestChaosTelemetryOutcomes(t *testing.T) {
 	}
 
 	w.eng.ResetCache()
-	if err := pass(core.WithBudget(context.Background(), core.Budget{MaxRows: 1})); !core.IsBudget(err) {
+	if err := pass(core.WithBudget(context.Background(), core.Budget{MaxRows: 1})); !qerr.IsBudget(err) {
 		t.Fatalf("got %v, want rows budget abort", err)
 	}
-	if err := pass(core.WithBudget(context.Background(), core.Budget{MaxResults: 1})); !core.IsBudget(err) {
+	if err := pass(core.WithBudget(context.Background(), core.Budget{MaxResults: 1})); !qerr.IsBudget(err) {
 		t.Fatalf("got %v, want results budget abort", err)
 	}
 
@@ -118,6 +120,81 @@ func TestChaosTelemetryOutcomes(t *testing.T) {
 			t.Errorf("query log has %d %q records, want 1 (all: %v)", outcomes[want], want, outcomes)
 		}
 	}
+}
+
+// TestEveryQueryRecordsOnce calls every Querier query method — each
+// method taking a context first and returning an error last, so one
+// added later is covered too — with zero-valued arguments, once under
+// a live and once under a cancelled context. Each call must record
+// exactly one QueryRecord whose outcome is the returned error's, a
+// panic provoked by a zero argument must come back as a panic record
+// rather than escape, and no two methods may share an op name.
+func TestEveryQueryRecordsOnce(t *testing.T) {
+	w := newRobustWorkload(t)
+	ctxType := reflect.TypeOf((*context.Context)(nil)).Elem()
+	errType := reflect.TypeOf((*error)(nil)).Elem()
+	qt := reflect.TypeOf((*core.Querier)(nil)).Elem()
+	eng := reflect.ValueOf(w.eng)
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, run := range []struct {
+		name string
+		ctx  context.Context
+	}{{"live", context.Background()}, {"cancelled", cancelled}} {
+		ops := map[string]string{}
+		outcomes := map[telemetry.Outcome]int{}
+		for i := 0; i < qt.NumMethod(); i++ {
+			m := qt.Method(i)
+			if m.Type.NumIn() == 0 || m.Type.In(0) != ctxType ||
+				m.Type.NumOut() == 0 || m.Type.Out(m.Type.NumOut()-1) != errType {
+				continue
+			}
+			col := telemetry.New(telemetry.Config{Registry: obs.NewRegistry(), SampleEvery: -1})
+			w.eng.SetTelemetry(col)
+			args := []reflect.Value{reflect.ValueOf(run.ctx)}
+			for j := 1; j < m.Type.NumIn(); j++ {
+				args = append(args, reflect.Zero(m.Type.In(j)))
+			}
+			err := callQuery(eng.MethodByName(m.Name), args)
+			recs := col.Recent(0)
+			if len(recs) != 1 {
+				t.Errorf("%s/%s: %d query records, want 1", run.name, m.Name, len(recs))
+				continue
+			}
+			rec := recs[0]
+			if want := telemetry.OutcomeOf(err); rec.Outcome != want {
+				t.Errorf("%s/%s: recorded outcome %q, returned error %v (%q)", run.name, m.Name, rec.Outcome, err, want)
+			}
+			if other, dup := ops[rec.Op]; dup {
+				t.Errorf("%s and %s share op name %q", other, m.Name, rec.Op)
+			}
+			ops[rec.Op] = m.Name
+			outcomes[rec.Outcome]++
+		}
+		if len(ops) == 0 {
+			t.Fatal("no Querier query methods found")
+		}
+		// RegionC evaluates its nil formula, among others: the panic
+		// path must stay covered.
+		if run.name == "live" && outcomes[telemetry.OutcomePanic] == 0 {
+			t.Errorf("%s: no zero-argument call panicked (outcomes %v)", run.name, outcomes)
+		}
+	}
+	w.eng.SetTelemetry(nil)
+}
+
+// callQuery calls one query method and returns its error result; a
+// panic escaping the method becomes an error that matches no record.
+func callQuery(fn reflect.Value, args []reflect.Value) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("panic escaped the query: %v", v)
+		}
+	}()
+	out := fn.Call(args)
+	err, _ = out[len(out)-1].Interface().(error)
+	return err
 }
 
 // TestEngineTelemetryPerOpRecords checks the engine bracket fills the

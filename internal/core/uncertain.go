@@ -35,81 +35,81 @@ type PossiblyResult struct {
 // their relation to polygon pg during iv: definitely inside (sampled),
 // likely inside (interpolated crossing), or possibly inside (lifeline
 // bead at speedFactor × the object's maximum observed leg speed).
-func (e *Engine) ObjectsPossiblyPassingThrough(ctx context.Context, table string, pg geom.Polygon, iv timedim.Interval, speedFactor float64) (res PossiblyResult, err error) {
-	qc, ctx, done := e.begin(ctx, "objects_possibly_passing_through", table)
-	defer done(&err)
-	qc.noteWindow(iv)
-	if speedFactor < 1 {
-		return PossiblyResult{}, fmt.Errorf("core: speed factor must be ≥ 1, got %g", speedFactor)
-	}
-	// One version for all three strata: the query's own bracket.
-	tc, err := e.table(ctx, qc)
-	if err != nil {
-		return PossiblyResult{}, err
-	}
-	lits := tc.lits
-	e.countQuery(7)
-	sampled, err := e.objectsSampledInside(ctx, qc, pg, iv)
-	if err != nil {
-		return PossiblyResult{}, err
-	}
-	sampledSet := make(map[moft.Oid]bool, len(sampled))
-	for i, o := range sampled {
-		if i%checkEvery == 0 {
-			if err := qc.step(ctx); err != nil {
-				return PossiblyResult{}, err
-			}
+func (e *Engine) ObjectsPossiblyPassingThrough(ctx context.Context, table string, pg geom.Polygon, iv timedim.Interval, speedFactor float64) (PossiblyResult, error) {
+	return run(ctx, e, "objects_possibly_passing_through", table, 0, func(ctx context.Context, qc *qctl) (PossiblyResult, error) {
+		qc.noteWindow(iv)
+		if speedFactor < 1 {
+			return PossiblyResult{}, fmt.Errorf("core: speed factor must be ≥ 1, got %g", speedFactor)
 		}
-		sampledSet[o] = true
-	}
-	e.countQuery(7)
-	interp, err := e.objectsPassingThrough(ctx, qc, pg, iv)
-	if err != nil {
-		return PossiblyResult{}, err
-	}
-	interpSet := make(map[moft.Oid]bool, len(interp))
-	for i, o := range interp {
-		if i%checkEvery == 0 {
-			if err := qc.step(ctx); err != nil {
-				return PossiblyResult{}, err
-			}
-		}
-		interpSet[o] = true
-	}
-
-	res.Definite = sampled
-	for i, o := range interp {
-		if i%checkEvery == 0 {
-			if err := qc.step(ctx); err != nil {
-				return PossiblyResult{}, err
-			}
-		}
-		if !sampledSet[o] {
-			res.Likely = append(res.Likely, o)
-		}
-	}
-	for oid, l := range lits {
-		if interpSet[oid] {
-			continue
-		}
-		if err := qc.addRows(ctx, int64(len(l.Sample()))); err != nil {
+		// One version for all three strata: the query's own bracket.
+		tc, err := e.table(ctx, qc)
+		if err != nil {
 			return PossiblyResult{}, err
 		}
-		vmax := l.MaxSpeed() * speedFactor
-		if vmax == 0 {
-			continue
+		lits := tc.lits
+		e.countQuery(7)
+		sampled, err := e.objectsSampledInside(ctx, qc, pg, iv)
+		if err != nil {
+			return PossiblyResult{}, err
 		}
-		for _, b := range traj.Beads(l, vmax) {
-			if b.T2 < float64(iv.Lo) || b.T1 > float64(iv.Hi) {
+		sampledSet := make(map[moft.Oid]bool, len(sampled))
+		for i, o := range sampled {
+			if i%checkEvery == 0 {
+				if err := qc.step(ctx); err != nil {
+					return PossiblyResult{}, err
+				}
+			}
+			sampledSet[o] = true
+		}
+		e.countQuery(7)
+		interp, err := e.objectsPassingThrough(ctx, qc, pg, iv)
+		if err != nil {
+			return PossiblyResult{}, err
+		}
+		interpSet := make(map[moft.Oid]bool, len(interp))
+		for i, o := range interp {
+			if i%checkEvery == 0 {
+				if err := qc.step(ctx); err != nil {
+					return PossiblyResult{}, err
+				}
+			}
+			interpSet[o] = true
+		}
+
+		res := PossiblyResult{Definite: sampled}
+		for i, o := range interp {
+			if i%checkEvery == 0 {
+				if err := qc.step(ctx); err != nil {
+					return PossiblyResult{}, err
+				}
+			}
+			if !sampledSet[o] {
+				res.Likely = append(res.Likely, o)
+			}
+		}
+		for oid, l := range lits {
+			if interpSet[oid] {
 				continue
 			}
-			if b.MayIntersectPolygon(pg, 32) {
-				res.Possible = append(res.Possible, oid)
-				break
+			if err := qc.addRows(ctx, int64(len(l.Sample()))); err != nil {
+				return PossiblyResult{}, err
+			}
+			vmax := l.MaxSpeed() * speedFactor
+			if vmax == 0 {
+				continue
+			}
+			for _, b := range traj.Beads(l, vmax) {
+				if b.T2 < float64(iv.Lo) || b.T1 > float64(iv.Hi) {
+					continue
+				}
+				if b.MayIntersectPolygon(pg, 32) {
+					res.Possible = append(res.Possible, oid)
+					break
+				}
 			}
 		}
-	}
-	sort.Slice(res.Likely, func(i, j int) bool { return res.Likely[i] < res.Likely[j] })
-	sort.Slice(res.Possible, func(i, j int) bool { return res.Possible[i] < res.Possible[j] })
-	return res, nil
+		sort.Slice(res.Likely, func(i, j int) bool { return res.Likely[i] < res.Likely[j] })
+		sort.Slice(res.Possible, func(i, j int) bool { return res.Possible[i] < res.Possible[j] })
+		return res, nil
+	})
 }

@@ -9,6 +9,7 @@
 package faultpoint
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -100,6 +101,12 @@ type Fault struct {
 
 func (f *Fault) Error() string {
 	return fmt.Sprintf("faultpoint: injected %s at %s", f.Mode, f.Site)
+}
+
+// IsFault reports whether err originates at an armed site.
+func IsFault(err error) bool {
+	var f *Fault
+	return errors.As(err, &f)
 }
 
 type arming struct {

@@ -2,6 +2,7 @@ package faultpoint
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -34,6 +35,18 @@ func TestArmError(t *testing.T) {
 	Disarm(CoreLITBuild)
 	if err := Hit(CoreLITBuild); err != nil {
 		t.Errorf("disarmed site fired: %v", err)
+	}
+}
+
+// TestIsFault: a fault is recognised through %w wrapping, and a plain
+// error is not mistaken for one.
+func TestIsFault(t *testing.T) {
+	f := &Fault{Site: CoreLITBuild, Mode: ModeError}
+	if !IsFault(fmt.Errorf("core: build: %w", f)) {
+		t.Error("wrapped fault not recognised")
+	}
+	if IsFault(errors.New("core: build failed")) || IsFault(nil) {
+		t.Error("plain error recognised as a fault")
 	}
 }
 

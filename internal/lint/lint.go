@@ -24,9 +24,6 @@
 //     //moglint:detached annotation;
 //   - budgetstride   — loops over MOFT rows on budget-governed paths
 //     call the query controller within checkEvery rows;
-//   - telemetrybracket — exported Querier methods on the engine
-//     facades run the telemetry begin/done bracket exactly once on
-//     every return path, verified over the control-flow graph;
 //   - errwrap        — typed qerr/budget errors cross package
 //     boundaries via %w and errors.Is/As, never string matching.
 //
@@ -35,11 +32,10 @@
 // imports from compiler export data (go/importer) with a source
 // fallback, and hands each analyzer a shared *types.Info. Checks
 // resolve receivers, fields, and constants by type identity rather
-// than name matching, and the flow-aware analyzers reason over a
-// per-function control-flow graph (cfg.go). Each check remains a
-// documented approximation that errs toward silence on constructs it
-// cannot resolve; deliberate exceptions are declared in code with
-// //moglint: directives rather than suppressed silently.
+// than name matching. Each check remains a documented approximation
+// that errs toward silence on constructs it cannot resolve;
+// deliberate exceptions are declared in code with //moglint:
+// directives rather than suppressed silently.
 package lint
 
 import (
@@ -106,7 +102,6 @@ func All() []*Analyzer {
 		AnalyzerLockOrder,
 		AnalyzerGoroutineJoin,
 		AnalyzerBudgetStride,
-		AnalyzerTelemetryBracket,
 		AnalyzerErrWrap,
 	}
 }

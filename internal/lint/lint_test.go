@@ -152,16 +152,15 @@ func checkFixtures(t *testing.T, name string) {
 	}
 }
 
-func TestSpanEndFixtures(t *testing.T)          { checkFixtures(t, "spanend") }
-func TestCacheInvalidateFixtures(t *testing.T)  { checkFixtures(t, "cacheinvalidate") }
-func TestDeterminismFixtures(t *testing.T)      { checkFixtures(t, "determinism") }
-func TestMetricNameFixtures(t *testing.T)       { checkFixtures(t, "metricname") }
-func TestCtxFirstFixtures(t *testing.T)         { checkFixtures(t, "ctxfirst") }
-func TestLockOrderFixtures(t *testing.T)        { checkFixtures(t, "lockorder") }
-func TestGoroutineJoinFixtures(t *testing.T)    { checkFixtures(t, "goroutinejoin") }
-func TestBudgetStrideFixtures(t *testing.T)     { checkFixtures(t, "budgetstride") }
-func TestTelemetryBracketFixtures(t *testing.T) { checkFixtures(t, "telemetrybracket") }
-func TestErrWrapFixtures(t *testing.T)          { checkFixtures(t, "errwrap") }
+func TestSpanEndFixtures(t *testing.T)         { checkFixtures(t, "spanend") }
+func TestCacheInvalidateFixtures(t *testing.T) { checkFixtures(t, "cacheinvalidate") }
+func TestDeterminismFixtures(t *testing.T)     { checkFixtures(t, "determinism") }
+func TestMetricNameFixtures(t *testing.T)      { checkFixtures(t, "metricname") }
+func TestCtxFirstFixtures(t *testing.T)        { checkFixtures(t, "ctxfirst") }
+func TestLockOrderFixtures(t *testing.T)       { checkFixtures(t, "lockorder") }
+func TestGoroutineJoinFixtures(t *testing.T)   { checkFixtures(t, "goroutinejoin") }
+func TestBudgetStrideFixtures(t *testing.T)    { checkFixtures(t, "budgetstride") }
+func TestErrWrapFixtures(t *testing.T)         { checkFixtures(t, "errwrap") }
 
 // TestRunAllOrdersFindings pins the stable output contract: findings
 // sort by file, line, column, analyzer.

@@ -63,3 +63,23 @@ func oidLoopNoCheck(ctx context.Context, qc *qctl, cand []moft.Oid) int {
 	}
 	return n
 }
+
+// run mirrors the engine's query bracket: entry points hand it their
+// body as a function literal that receives the controller.
+func run[T any](ctx context.Context, body func(context.Context, *qctl) (T, error)) (T, error) {
+	return body(ctx, &qctl{})
+}
+
+// closureNoCheck is an entry point whose body, inside the literal it
+// hands to run, scans every row without consulting the budget.
+func closureNoCheck(ctx context.Context, cols *moft.Columns) (int, error) {
+	return run(ctx, func(ctx context.Context, qc *qctl) (int, error) {
+		n := 0
+		for r := 0; r < cols.Len(); r++ { // want
+			if cols.T[r] > 0 {
+				n++
+			}
+		}
+		return n, nil
+	})
+}

@@ -78,3 +78,28 @@ func notGoverned(cols *moft.Columns) int {
 	}
 	return n
 }
+
+// run mirrors the engine's query bracket: entry points hand it their
+// body as a function literal that receives the controller.
+func run[T any](ctx context.Context, body func(context.Context, *qctl) (T, error)) (T, error) {
+	return body(ctx, &qctl{})
+}
+
+// closureStride is an entry point whose body, inside the literal it
+// hands to run, checks the budget every 256 rows.
+func closureStride(ctx context.Context, cols *moft.Columns) (int, error) {
+	return run(ctx, func(ctx context.Context, qc *qctl) (int, error) {
+		n := 0
+		for r := 0; r < cols.Len(); r++ {
+			if r%256 == 255 {
+				if err := qc.step(ctx); err != nil {
+					return 0, err
+				}
+			}
+			if cols.T[r] > 0 {
+				n++
+			}
+		}
+		return n, nil
+	})
+}

@@ -2,7 +2,6 @@ package pietql
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -15,6 +14,7 @@ import (
 	"mogis/internal/obs"
 	"mogis/internal/olap"
 	"mogis/internal/overlay"
+	"mogis/internal/qerr"
 	"mogis/internal/telemetry"
 	"mogis/internal/timedim"
 )
@@ -63,26 +63,11 @@ type Outcome struct {
 	Explain string
 }
 
-// ParseError marks an error raised while parsing the query text (as
-// opposed to evaluating it), so callers — the pietql CLI maps parse
-// errors to a distinct exit code — can tell the two apart with
-// errors.As.
-type ParseError struct{ Err error }
-
-func (e *ParseError) Error() string { return e.Err.Error() }
-func (e *ParseError) Unwrap() error { return e.Err }
-
-// IsParseError reports whether err originated in the Piet-QL parser.
-func IsParseError(err error) bool {
-	var pe *ParseError
-	return errors.As(err, &pe)
-}
-
-// parse wraps Parse failures in *ParseError.
+// parse wraps Parse failures in *qerr.ParseError.
 func parse(input string) (*Query, error) {
 	q, err := Parse(input)
 	if err != nil {
-		return nil, &ParseError{Err: err}
+		return nil, &qerr.ParseError{Err: err}
 	}
 	return q, nil
 }
@@ -94,7 +79,7 @@ func parse(input string) (*Query, error) {
 // plan without running it; EXPLAIN ANALYZE runs the query with a
 // per-query trace attached and renders the span tree plus
 // engine-counter deltas into Outcome.Explain. Parse failures are
-// reported as *ParseError.
+// reported as *qerr.ParseError.
 func (s *System) Run(ctx context.Context, query string) (out *Outcome, err error) {
 	start := time.Now()
 	defer func() { obs.Std.QueryDuration.Observe(time.Since(start).Seconds()) }()

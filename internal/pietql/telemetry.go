@@ -1,12 +1,9 @@
 package pietql
 
 import (
-	"errors"
 	"time"
 
-	"mogis/internal/core"
 	"mogis/internal/obs"
-	"mogis/internal/qerr"
 	"mogis/internal/telemetry"
 )
 
@@ -25,10 +22,6 @@ const (
 	opExplainAnalyze = "pietql_explain_analyze"
 )
 
-// OutcomeParseError is the pipeline-specific telemetry outcome for
-// queries rejected by the parser (the engine outcomes cover the rest).
-const OutcomeParseError = telemetry.Outcome("parse_error")
-
 // telemetry resolves the collector the system records to: the
 // explicitly injected one, else the process-wide default (nil = off).
 func (s *System) telemetry() *telemetry.Collector {
@@ -38,27 +31,6 @@ func (s *System) telemetry() *telemetry.Collector {
 	return telemetry.Default()
 }
 
-// classifyErr maps a pipeline error to its telemetry outcome.
-func classifyErr(err error) telemetry.Outcome {
-	var be *core.BudgetError
-	switch {
-	case err == nil:
-		return telemetry.OutcomeOK
-	case IsParseError(err):
-		return OutcomeParseError
-	case qerr.IsCancel(err):
-		return telemetry.OutcomeCancelled
-	case errors.As(err, &be):
-		if be.Resource == "rows" {
-			return telemetry.OutcomeBudgetRows
-		}
-		return telemetry.OutcomeBudgetResults
-	case qerr.IsPanic(err):
-		return telemetry.OutcomePanic
-	}
-	return telemetry.OutcomeError
-}
-
 // queryRecord assembles the pipeline-level record for one Run.
 func queryRecord(op, table string, start time.Time, err error) telemetry.QueryRecord {
 	rec := telemetry.QueryRecord{
@@ -66,7 +38,7 @@ func queryRecord(op, table string, start time.Time, err error) telemetry.QueryRe
 		Table:    table,
 		Start:    start,
 		Duration: time.Since(start),
-		Outcome:  classifyErr(err),
+		Outcome:  telemetry.OutcomeOf(err),
 	}
 	if err != nil {
 		rec.Err = err.Error()

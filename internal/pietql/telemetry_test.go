@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mogis/internal/obs"
-	"mogis/internal/pietql"
 	"mogis/internal/telemetry"
 )
 
@@ -60,7 +59,7 @@ func TestSystemTelemetryRecords(t *testing.T) {
 	}
 	// Newest first: the parse error leads; the successful pipeline runs
 	// carry the MO fact table.
-	if recent[0].Outcome != pietql.OutcomeParseError || recent[0].Err == "" {
+	if recent[0].Outcome != telemetry.OutcomeParseError || recent[0].Err == "" {
 		t.Errorf("parse-error record = %+v", recent[0])
 	}
 	for _, i := range []int{1, 2, 3} {
@@ -70,7 +69,7 @@ func TestSystemTelemetryRecords(t *testing.T) {
 	}
 	// The parse error is also pinned in the slow/failed set.
 	slow := col.Slow(0)
-	if len(slow) != 1 || slow[0].Outcome != pietql.OutcomeParseError {
+	if len(slow) != 1 || slow[0].Outcome != telemetry.OutcomeParseError {
 		t.Errorf("slow = %+v", slow)
 	}
 

@@ -1,8 +1,9 @@
 // Package qerr defines the typed errors shared by the engine's
 // cancellable query paths: the recovered-panic error produced by
-// worker-pool panic isolation, and helpers for classifying
-// cancellation. It sits below core, overlay and pietql so all three
-// can agree on one error vocabulary without import cycles.
+// worker-pool panic isolation, the resource-budget abort, the Piet-QL
+// parse failure, and helpers for classifying cancellation. It sits
+// below core, overlay and pietql so all three can agree on one error
+// vocabulary without import cycles.
 package qerr
 
 import (
@@ -47,4 +48,36 @@ func IsPanic(err error) bool {
 // chain).
 func IsCancel(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// BudgetError reports a query aborted at a resource budget.
+type BudgetError struct {
+	Resource string // "rows" or "results"
+	Limit    int64
+	Used     int64
+}
+
+func (e *BudgetError) Error() string {
+	return fmt.Sprintf("core: query exceeded its %s budget (%d > %d)", e.Resource, e.Used, e.Limit)
+}
+
+// IsBudget reports whether err is a budget abort.
+func IsBudget(err error) bool {
+	var be *BudgetError
+	return errors.As(err, &be)
+}
+
+// ParseError marks an error raised while parsing the Piet-QL query
+// text (as opposed to evaluating it), so callers — the pietql CLI maps
+// parse errors to a distinct exit code — can tell the two apart with
+// errors.As.
+type ParseError struct{ Err error }
+
+func (e *ParseError) Error() string { return e.Err.Error() }
+func (e *ParseError) Unwrap() error { return e.Err }
+
+// IsParseError reports whether err originated in the Piet-QL parser.
+func IsParseError(err error) bool {
+	var pe *ParseError
+	return errors.As(err, &pe)
 }

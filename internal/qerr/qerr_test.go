@@ -53,3 +53,22 @@ func TestIsCancel(t *testing.T) {
 		t.Error("nil misclassified as cancel")
 	}
 }
+
+// TestBudgetAndParseErrors: both typed errors are recognised through
+// %w wrapping, and neither is mistaken for the other.
+func TestBudgetAndParseErrors(t *testing.T) {
+	be := &BudgetError{Resource: "rows", Limit: 10, Used: 11}
+	if !IsBudget(fmt.Errorf("scan: %w", be)) || IsParseError(be) {
+		t.Errorf("budget error misclassified: %v", be)
+	}
+	if got, want := be.Error(), "core: query exceeded its rows budget (11 > 10)"; got != want {
+		t.Errorf("Error() = %q, want %q", got, want)
+	}
+	pe := &ParseError{Err: errors.New("unexpected token")}
+	if !IsParseError(fmt.Errorf("run: %w", pe)) || IsBudget(pe) {
+		t.Errorf("parse error misclassified: %v", pe)
+	}
+	if IsBudget(errors.New("other")) || IsParseError(errors.New("other")) || IsBudget(nil) {
+		t.Error("plain error misclassified")
+	}
+}

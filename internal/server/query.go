@@ -207,11 +207,11 @@ const statusCodeClientClosed = 499
 // table is the contract documented in DESIGN.md §15.
 func statusFor(r *http.Request, err error) (status int, code string) {
 	var he *httpError
-	var be *core.BudgetError
+	var be *qerr.BudgetError
 	switch {
 	case errors.As(err, &he):
 		return he.status, he.code
-	case pietql.IsParseError(err):
+	case qerr.IsParseError(err):
 		return http.StatusBadRequest, "parse_error"
 	case errors.As(err, &be):
 		if be.Resource == "rows" {
@@ -228,7 +228,7 @@ func statusFor(r *http.Request, err error) (status int, code string) {
 		return http.StatusServiceUnavailable, "cancelled"
 	case qerr.IsPanic(err):
 		return http.StatusInternalServerError, "panic"
-	case isInjected(err):
+	case faultpoint.IsFault(err):
 		return http.StatusInternalServerError, "injected_fault"
 	case errors.Is(err, errQueueFull):
 		return http.StatusTooManyRequests, "admission_queue_full"
@@ -240,12 +240,6 @@ func statusFor(r *http.Request, err error) (status int, code string) {
 		return http.StatusServiceUnavailable, "subscriber_limit"
 	}
 	return http.StatusUnprocessableEntity, "eval_error"
-}
-
-// isInjected reports whether err originates at an armed faultpoint.
-func isInjected(err error) bool {
-	var f *faultpoint.Fault
-	return errors.As(err, &f)
 }
 
 // writeJSON writes v with the given status. The Content-Type must be

@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mogis/internal/core"
 	"mogis/internal/faultpoint"
 	"mogis/internal/layer"
 	"mogis/internal/obs"
@@ -296,7 +295,7 @@ func (s *Server) record(op string, r *http.Request, start time.Time, err error, 
 		Table:    r.URL.Query().Get("table"),
 		Start:    start,
 		Duration: time.Since(start),
-		Outcome:  classifyOutcome(err),
+		Outcome:  outcomeOf(err),
 	}
 	if forced != "" {
 		rec.Outcome = forced
@@ -307,29 +306,15 @@ func (s *Server) record(op string, r *http.Request, start time.Time, err error, 
 	s.tel.Record(rec)
 }
 
-// classifyOutcome mirrors the pipeline's telemetry classification for
-// errors surfacing at the HTTP layer.
-func classifyOutcome(err error) telemetry.Outcome {
-	var be *core.BudgetError
+// outcomeOf is telemetry.OutcomeOf plus the one HTTP-only case: a
+// request rejected with a 4xx before it reached the pipeline counts as
+// a parse error.
+func outcomeOf(err error) telemetry.Outcome {
 	var he *httpError
-	switch {
-	case err == nil:
-		return telemetry.OutcomeOK
-	case pietql.IsParseError(err):
-		return pietql.OutcomeParseError
-	case errors.As(err, &be):
-		if be.Resource == "rows" {
-			return telemetry.OutcomeBudgetRows
-		}
-		return telemetry.OutcomeBudgetResults
-	case qerr.IsCancel(err):
-		return telemetry.OutcomeCancelled
-	case qerr.IsPanic(err):
-		return telemetry.OutcomePanic
-	case errors.As(err, &he) && he.status < http.StatusInternalServerError:
-		return pietql.OutcomeParseError
+	if errors.As(err, &he) && he.status < http.StatusInternalServerError {
+		return telemetry.OutcomeParseError
 	}
-	return telemetry.OutcomeError
+	return telemetry.OutcomeOf(err)
 }
 
 // handleHealthz reports liveness plus the load-relevant gauges.

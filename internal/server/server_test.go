@@ -103,65 +103,68 @@ func TestQueryJSONBodyAndBudgets(t *testing.T) {
 }
 
 // TestQueryStatusMapping pins the typed-error → status-code contract
-// from DESIGN.md §15.
+// from DESIGN.md §15, and the telemetry outcome each error class
+// records: on the request's http_query record and, when the request
+// reached the pipeline, the same outcome on its pietql_query record.
 func TestQueryStatusMapping(t *testing.T) {
-	s, _ := newTestServer(t, nil)
+	s, tel := newTestServer(t, nil)
 
 	cases := []struct {
-		name   string
-		target string
-		body   string
-		arm    func()
-		status int
-		code   string
+		name    string
+		target  string
+		body    string
+		arm     func()
+		status  int
+		code    string
+		outcome telemetry.Outcome
 	}{
 		{
 			name: "parse error", target: "/query",
 			body:   `MOVING COUNT(*) FROM FMbus`,
-			status: http.StatusBadRequest, code: "parse_error",
+			status: http.StatusBadRequest, code: "parse_error", outcome: telemetry.OutcomeParseError,
 		},
 		{
 			name: "eval error", target: "/query",
 			body:   `SELECT layer.Ln; FROM WrongSchema;`,
-			status: http.StatusUnprocessableEntity, code: "eval_error",
+			status: http.StatusUnprocessableEntity, code: "eval_error", outcome: telemetry.OutcomeError,
 		},
 		{
 			name: "empty query", target: "/query",
 			body:   "",
-			status: http.StatusBadRequest, code: "bad_request",
+			status: http.StatusBadRequest, code: "bad_request", outcome: telemetry.OutcomeParseError,
 		},
 		{
 			name: "bad format", target: "/query?format=xml",
 			body:   geoQuery,
-			status: http.StatusBadRequest, code: "bad_request",
+			status: http.StatusBadRequest, code: "bad_request", outcome: telemetry.OutcomeParseError,
 		},
 		{
 			name: "budget rows", target: "/query?max_rows=1",
 			body:   moQuery,
-			status: http.StatusUnprocessableEntity, code: "budget_rows",
+			status: http.StatusUnprocessableEntity, code: "budget_rows", outcome: telemetry.OutcomeBudgetRows,
 		},
 		{
 			name: "budget results", target: "/query?max_results=1",
 			body:   moQuery,
-			status: http.StatusRequestEntityTooLarge, code: "budget_results",
+			status: http.StatusRequestEntityTooLarge, code: "budget_results", outcome: telemetry.OutcomeBudgetResults,
 		},
 		{
 			name: "deadline", target: "/query?timeout_ms=5",
 			body:   moQuery,
 			arm:    func() { faultpoint.Arm(faultpoint.CoreLITBuild, faultpoint.ModeDelay, 50*time.Millisecond) },
-			status: http.StatusRequestTimeout, code: "deadline",
+			status: http.StatusRequestTimeout, code: "deadline", outcome: telemetry.OutcomeCancelled,
 		},
 		{
 			name: "engine panic", target: "/query",
 			body:   moQuery,
 			arm:    func() { faultpoint.Arm(faultpoint.CoreLITBuild, faultpoint.ModePanic, 0) },
-			status: http.StatusInternalServerError, code: "panic",
+			status: http.StatusInternalServerError, code: "panic", outcome: telemetry.OutcomePanic,
 		},
 		{
 			name: "injected fault", target: "/query",
 			body:   moQuery,
 			arm:    func() { faultpoint.Arm(faultpoint.CoreLITBuild, faultpoint.ModeError, 0) },
-			status: http.StatusInternalServerError, code: "injected_fault",
+			status: http.StatusInternalServerError, code: "injected_fault", outcome: telemetry.OutcomeError,
 		},
 	}
 	for _, tc := range cases {
@@ -179,6 +182,13 @@ func TestQueryStatusMapping(t *testing.T) {
 			if e := decodeError(t, w); e.Code != tc.code {
 				t.Errorf("code %q, want %q (%s)", e.Code, tc.code, e.Error)
 			}
+			httpRec, pietRec := lastRequestRecords(tel)
+			if httpRec == nil || httpRec.Outcome != tc.outcome {
+				t.Fatalf("http_query record %+v, want outcome %q", httpRec, tc.outcome)
+			}
+			if pietRec != nil && pietRec.Outcome != httpRec.Outcome {
+				t.Errorf("pietql_query outcome %q, http_query outcome %q", pietRec.Outcome, httpRec.Outcome)
+			}
 		})
 	}
 
@@ -188,6 +198,27 @@ func TestQueryStatusMapping(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("retry after faults: status %d: %s", w.Code, w.Body.String())
 	}
+}
+
+// lastRequestRecords returns the newest http_query record and the
+// pietql_query record the same request produced, if any: the pipeline
+// records before the endpoint does, so it sits between the newest
+// http_* record and the one before it.
+func lastRequestRecords(tel *telemetry.Collector) (httpRec, pietRec *telemetry.QueryRecord) {
+	for _, rec := range tel.Recent(0) {
+		switch {
+		case strings.HasPrefix(rec.Op, "http_"):
+			if httpRec != nil {
+				return httpRec, pietRec
+			}
+			if rec.Op == opHTTPQuery {
+				httpRec = &rec
+			}
+		case rec.Op == "pietql_query" && httpRec != nil && pietRec == nil:
+			pietRec = &rec
+		}
+	}
+	return httpRec, pietRec
 }
 
 func TestQueryClientCancel499(t *testing.T) {

@@ -27,18 +27,18 @@
 package telemetry
 
 import (
+	"errors"
 	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mogis/internal/obs"
+	"mogis/internal/qerr"
 )
 
 // Outcome classifies how a query ended. The values are the
-// snake_case strings the query log and /debug/stats expose; packages
-// layering on telemetry may define additional outcomes (e.g. the
-// Piet-QL parser's "parse_error").
+// snake_case strings the query log and /debug/stats expose.
 type Outcome string
 
 const (
@@ -48,7 +48,30 @@ const (
 	OutcomeBudgetRows    Outcome = "budget_rows"
 	OutcomeBudgetResults Outcome = "budget_results"
 	OutcomePanic         Outcome = "panic"
+	OutcomeParseError    Outcome = "parse_error"
 )
+
+// OutcomeOf classifies a query's final error: the one mapping the
+// engine, the Piet-QL pipeline and the HTTP layer all record.
+func OutcomeOf(err error) Outcome {
+	var be *qerr.BudgetError
+	switch {
+	case err == nil:
+		return OutcomeOK
+	case qerr.IsParseError(err):
+		return OutcomeParseError
+	case qerr.IsCancel(err):
+		return OutcomeCancelled
+	case errors.As(err, &be):
+		if be.Resource == "rows" {
+			return OutcomeBudgetRows
+		}
+		return OutcomeBudgetResults
+	case qerr.IsPanic(err):
+		return OutcomePanic
+	}
+	return OutcomeError
+}
 
 // QueryRecord is one completed query, as handed to Collector.Record
 // by the core engine's query bracket and by pietql.System.Run.

@@ -3,12 +3,16 @@ package telemetry
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"mogis/internal/obs"
+	"mogis/internal/qerr"
 )
 
 // newTestCollector builds a collector on an isolated registry so
@@ -315,5 +319,36 @@ func TestRecordZeroAllocWarm(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("disabled Record allocated %.1f times per op, want 0", allocs)
+	}
+}
+
+// TestOutcomeOfCancelBudgetPanic pins the one error-to-outcome mapping
+// the engine, the Piet-QL pipeline and the HTTP layer share, including
+// its precedence: parse, then cancel, then budget, then panic.
+func TestOutcomeOfCancelBudgetPanic(t *testing.T) {
+	rows := &qerr.BudgetError{Resource: "rows", Limit: 1, Used: 2}
+	results := &qerr.BudgetError{Resource: "results", Limit: 1, Used: 2}
+	parse := &qerr.ParseError{Err: errors.New("unexpected token")}
+	panicked := qerr.NewPanic("test/op", "boom")
+	for _, tc := range []struct {
+		name string
+		err  error
+		want Outcome
+	}{
+		{"nil", nil, OutcomeOK},
+		{"plain", errors.New("unknown table"), OutcomeError},
+		{"parse", parse, OutcomeParseError},
+		{"cancel", context.Canceled, OutcomeCancelled},
+		{"deadline", fmt.Errorf("query: %w", context.DeadlineExceeded), OutcomeCancelled},
+		{"budget rows", rows, OutcomeBudgetRows},
+		{"budget results", fmt.Errorf("scan: %w", results), OutcomeBudgetResults},
+		{"panic", fmt.Errorf("fanout: %w", panicked), OutcomePanic},
+		{"parse before cancel", errors.Join(context.Canceled, parse), OutcomeParseError},
+		{"cancel before budget", errors.Join(rows, context.Canceled), OutcomeCancelled},
+		{"budget before panic", errors.Join(panicked, results), OutcomeBudgetResults},
+	} {
+		if got := OutcomeOf(tc.err); got != tc.want {
+			t.Errorf("%s: OutcomeOf(%v) = %q, want %q", tc.name, tc.err, got, tc.want)
+		}
 	}
 }
