@@ -29,12 +29,15 @@ race:
 	$(GO) test -race ./...
 
 # The concurrency-sensitive packages, twice, under the race detector:
-# the engine's concurrent stress tests plus the grid/columnar cache
-# paths with interleaved invalidations, the shared-read index and
-# overlay structures, and the MOFT versions that share object runs
-# (readers of one version while a writer derives the next ones).
+# the engine's concurrent stress tests plus the sample-index and
+# columnar cache paths with interleaved invalidations, the base + tail
+# quick check (TestSampleIndexMatchesRebuild), the pre-aggregated grid
+# that readers of many table versions share as their sealed base, the
+# shared-read index and overlay structures, and the MOFT versions that
+# share object runs (readers of one version while a writer derives the
+# next ones).
 race-engine:
-	$(GO) test -race -count=2 ./internal/core/... ./internal/sindex/... ./internal/overlay/... ./internal/moft/...
+	$(GO) test -race -count=2 ./internal/core/... ./internal/agggrid/... ./internal/sindex/... ./internal/overlay/... ./internal/moft/...
 
 # The telemetry service under the race detector: the collector's
 # windowed histograms and rings, the HTTP exposition handlers reading

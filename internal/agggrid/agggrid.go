@@ -433,14 +433,8 @@ func (g *Grid) boundaryWindow(c int32, lo, hi int64, st *Stats) []int32 {
 // with at least one sample inside the closed polygon during [lo, hi].
 // The result is nil when no object qualifies.
 func (g *Grid) ObjectsSampled(pg geom.Polygon, lo, hi int64, met *obs.Metrics) []moft.Oid {
-	out, _ := g.ObjectsSampledStats(pg, lo, hi, met)
-	return out
-}
-
-// ObjectsSampledStats is ObjectsSampled plus the row-level work done.
-func (g *Grid) ObjectsSampledStats(pg geom.Polygon, lo, hi int64, met *obs.Metrics) ([]moft.Oid, Stats) {
 	set := make([]uint64, g.words)
-	st := g.ObjectsSampledInto(pg, lo, hi, set, met)
+	g.ObjectsSampledInto(pg, lo, hi, set, met)
 	var out []moft.Oid
 	for w, bitsw := range set {
 		for bitsw != 0 {
@@ -449,7 +443,7 @@ func (g *Grid) ObjectsSampledStats(pg geom.Polygon, lo, hi int64, met *obs.Metri
 			bitsw &= bitsw - 1
 		}
 	}
-	return out, st
+	return out
 }
 
 // SetWords returns the length, in uint64 words, of an object bitset

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mogis/internal/agggrid"
 	"mogis/internal/faultpoint"
 	"mogis/internal/geom"
 	"mogis/internal/moft"
@@ -36,9 +35,11 @@ import (
 //     query-result cache), keyed by an exact fingerprint of the
 //     polygon's coordinates and evicted least-recently-used at the
 //     configured cap,
-//  4. the pre-aggregated sample grid (internal/agggrid) — built
-//     independently of the LIT build (sample-only queries never pay
-//     for interpolation) from the version's columnar snapshot.
+//  4. the sample index (sampleindex.go) — a sealed base, the
+//     pre-aggregated grid (internal/agggrid) of an ancestor version,
+//     plus a tail of the rows appended since; built independently of
+//     the LIT build, so sample-only queries never pay for
+//     interpolation.
 //
 // Builds are cancellable: each cache unit is a buildUnit (a resettable
 // single-flight latch) whose builder runs under the triggering query's
@@ -54,10 +55,13 @@ import (
 // new version descends from the old one (moft.Table.Since), the first
 // reader derives the entry's LITs and R-tree from its parent's,
 // interpolating only the changed objects, and carries every interval
-// entry over with those objects pending; the grid is rebuilt. Anything
-// else — an unrelated table under the same name, rows loaded in place
-// into a table that was read — builds from scratch. InvalidateTrajectories
-// and ResetCache forget cached state outright, forcing a full rebuild.
+// entry over with those objects pending; settling an entry clips only
+// their new legs. The sample index keeps the inherited base and
+// gathers the appended rows as its tail, until the tail is large
+// enough to compact. Anything else — an unrelated table under the same
+// name, rows loaded in place into a table that was read — builds from
+// scratch. InvalidateTrajectories and ResetCache forget cached state
+// outright, inherited sample base included, forcing a full rebuild.
 
 // serialThreshold is the object count below which the per-object
 // fan-out stays on the calling goroutine: goroutine startup dwarfs
@@ -138,7 +142,7 @@ func runProtected(op string, fn func() error) (err error) {
 // tableCache is the cache unit of one table version. lits, oids and
 // tree are written by the lit buildUnit's builder before the unit
 // latches and read-only afterwards; the interval cache mutates under
-// imu; the sample grid builds under its own buildUnit so sample-only
+// imu; the sample index builds under its own buildUnit so sample-only
 // queries never trigger trajectory interpolation.
 type tableCache struct {
 	// tbl is the version every structure below is built from, and ver
@@ -155,8 +159,12 @@ type tableCache struct {
 	oids []moft.Oid // sorted; the deterministic fan-out order
 	tree *sindex.RTree
 
-	gridUnit buildUnit
-	grid     *agggrid.Grid
+	// base is the sample base inherited from the entry this one
+	// replaced (see Engine.view); nil makes the sample index build its
+	// own.
+	base       *sampleBase
+	sampleUnit buildUnit
+	samp       *sampleIndex
 
 	imu       sync.RWMutex
 	intervals map[string]*intervalEntry
@@ -183,11 +191,14 @@ type intervalEntry struct {
 }
 
 // ivState is an interval entry's content. m is final for the entry's
-// version when pending is empty; otherwise m is an earlier version's
-// map and pending lists, ascending, the objects whose intervals must
-// be recomputed before it answers.
+// version when pending is empty; otherwise m is exact for the earlier
+// version from (whose Version was fromVer) and pending lists,
+// ascending, the objects whose intervals must be recomputed before it
+// answers.
 type ivState struct {
 	m       map[moft.Oid][]traj.TimeInterval
+	from    *moft.Table
+	fromVer moft.Version
 	pending []moft.Oid
 }
 
@@ -284,7 +295,7 @@ func (tc *tableCache) derive(ctx context.Context, e *Engine, p *tableCache, chan
 			pending = mergeOids(st.pending, changed)
 		}
 		carried := &intervalEntry{key: key}
-		carried.state.Store(&ivState{m: st.m, pending: pending})
+		carried.state.Store(&ivState{m: st.m, from: st.from, fromVer: st.fromVer, pending: pending})
 		carried.stamp.Store(en.stamp.Load())
 		intervals[key] = carried
 	}
@@ -331,48 +342,6 @@ func (tc *tableCache) ordinal(oid moft.Oid) int {
 	}
 	return sort.Search(len(tc.oids), func(i int) bool { return tc.oids[i] >= oid })
 }
-
-// aggGrid returns the table's pre-aggregated sample grid, building it
-// single-flight from the columnar snapshot on first use. Independent
-// of the LIT build: sample-only queries pay only for the grid.
-func (tc *tableCache) aggGrid(ctx context.Context, e *Engine) (*agggrid.Grid, error) {
-	_, err := tc.gridUnit.run(ctx, "core/grid-build", func() error {
-		if err := faultpoint.Hit(faultpoint.CoreGridBuild); err != nil {
-			return err
-		}
-		sp := e.mctx.Tracer().Start("agggrid_build")
-		defer sp.End()
-		cols, err := tc.tbl.ColumnsCtx(ctx)
-		if err != nil {
-			return err
-		}
-		n := int(e.gridCells.Load())
-		// Time buckets are sized adaptively: the observed query windows
-		// of the interval-taking grid ops refine the extent + density
-		// seed (GeoBlocks-style query-driven refinement); with no
-		// telemetry or no windowed queries yet, the hint stays 0.
-		cfg := agggrid.Config{NX: n, NY: n, WindowHint: e.telemetry().MeanWindow(windowHintOps...)}
-		g, err := agggrid.BuildCtx(ctx, cols, cfg)
-		if err != nil {
-			return err
-		}
-		tc.grid = g
-		sp.SetCount("cells", int64(g.Cells()))
-		sp.SetCount("samples", int64(cols.Len()))
-		sp.SetCount("time_buckets", int64(g.TimeBuckets()))
-		e.metrics().AggGridBuilds.Inc()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return tc.grid, nil
-}
-
-// windowHintOps are the ops whose observed query windows feed the
-// grid's adaptive time-bucket sizing: the interval-taking queries the
-// sample grid answers.
-var windowHintOps = []string{"count_samples_inside", "objects_sampled_inside", "count_region_set"}
 
 // candidates returns, in sorted oid order, the objects whose
 // trajectory bounding box intersects box — the spatial prefilter —
@@ -464,7 +433,7 @@ func (e *Engine) polygonIntervals(ctx context.Context, qc *qctl, tc *tableCache,
 	parts := make([]map[moft.Oid][]traj.TimeInterval, workers)
 	err = forChunks(ctx, workers, len(cand), func(chunk, lo, hi int) error {
 		m := make(map[moft.Oid][]traj.TimeInterval)
-		rows, results := int64(0), int64(0)
+		rows, results, legs := int64(0), int64(0), int64(0)
 		for _, oid := range cand[lo:hi] {
 			l := tc.lits[oid]
 			if rows += int64(len(l.Sample())); rows >= checkEvery {
@@ -473,12 +442,14 @@ func (e *Engine) polygonIntervals(ctx context.Context, qc *qctl, tc *tableCache,
 				}
 				rows = 0
 			}
+			legs += int64(l.NumLegs())
 			if ivs := l.InsidePolygonIntervals(pg); len(ivs) > 0 {
 				m[oid] = ivs
 				results += int64(len(ivs))
 			}
 		}
 		parts[chunk] = m
+		met.IntervalLegsClipped.Add(legs)
 		if err := qc.addRows(ctx, rows); err != nil {
 			return err
 		}
@@ -527,7 +498,7 @@ func (e *Engine) polygonIntervals(ctx context.Context, qc *qctl, tc *tableCache,
 				met.IntervalCacheEvictions.Inc()
 			}
 			en := &intervalEntry{key: key}
-			en.state.Store(&ivState{m: out})
+			en.state.Store(&ivState{m: out, from: tc.tbl, fromVer: tc.ver})
 			en.stamp.Store(tc.ivGen.Add(1))
 			tc.intervals[key] = en
 		}
@@ -538,10 +509,13 @@ func (e *Engine) polygonIntervals(ctx context.Context, qc *qctl, tc *tableCache,
 }
 
 // settle returns a cached entry's map for tc's version. An entry
-// carried over from a parent version first recomputes, single-flight,
-// the intervals of its pending objects — the same prefilter and
-// InsidePolygonIntervals test a fresh computation applies to them —
-// on a copy of the parent's map.
+// carried over from an earlier version first recomputes, single-flight
+// and on a copy of the earlier map, the intervals of its pending
+// objects: the same prefilter a fresh computation applies, then a clip
+// of only the legs the object gained since (runs only grow forward in
+// a lineage, so its earlier legs' intervals stand). An object that had
+// fewer than two samples, or whose earlier version was since reloaded
+// in place, is clipped in full.
 //
 //moglint:deterministic
 func (e *Engine) settle(ctx context.Context, qc *qctl, tc *tableCache, en *intervalEntry, pg geom.Polygon) (map[moft.Oid][]traj.TimeInterval, error) {
@@ -555,28 +529,49 @@ func (e *Engine) settle(ctx context.Context, qc *qctl, tc *tableCache, en *inter
 		}
 		m := maps.Clone(st.m)
 		box := pg.BBox()
-		rows := int64(0)
+		from := st.from
+		if from.Version() != st.fromVer {
+			from = nil
+		}
+		rows, legs := int64(0), int64(0)
 		for _, oid := range st.pending {
+			prior := m[oid]
 			delete(m, oid)
 			l := tc.lits[oid]
 			if !l.BBox().Intersects(box) {
 				continue
 			}
-			if rows += int64(len(l.Sample())); rows >= checkEvery {
+			// The first leg the object gained since from: the leg from
+			// its last sample there to the next.
+			leg := 0
+			if from != nil {
+				leg = len(from.ObjectTuples(oid)) - 1
+			}
+			if rows += int64(len(l.Sample()) - max(leg, 0)); rows >= checkEvery {
 				if err := qc.addRows(ctx, rows); err != nil {
 					return err
 				}
 				rows = 0
 			}
-			if ivs := l.InsidePolygonIntervals(pg); len(ivs) > 0 {
+			var ivs []traj.TimeInterval
+			if leg >= 1 {
+				ivs = l.InsidePolygonIntervalsFrom(pg, leg, prior)
+				legs += int64(l.NumLegs() - leg)
+			} else {
+				ivs = l.InsidePolygonIntervals(pg)
+				legs += int64(l.NumLegs())
+			}
+			if len(ivs) > 0 {
 				m[oid] = ivs
 			}
 		}
 		if err := qc.addRows(ctx, rows); err != nil {
 			return err
 		}
-		e.metrics().IntervalObjectsRecomputed.Add(int64(len(st.pending)))
-		en.state.Store(&ivState{m: m})
+		met := e.metrics()
+		met.IntervalObjectsRecomputed.Add(int64(len(st.pending)))
+		met.IntervalLegsClipped.Add(legs)
+		en.state.Store(&ivState{m: m, from: tc.tbl, fromVer: tc.ver})
 		return nil
 	})
 	if err != nil {

@@ -23,7 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mogis/internal/agggrid"
 	"mogis/internal/faultpoint"
 	"mogis/internal/fo"
 	"mogis/internal/geom"
@@ -178,9 +177,9 @@ func (e *Engine) intervalCacheCap() int {
 // accelerates polygon aggregates over raw samples: n < 0 disables the
 // grid (queries take the scan path), 0 restores the default
 // auto-sizing (~64 samples per cell), n > 0 forces an n×n grid. The
-// setting applies to grids built afterwards (the next table version
-// builds one); call ResetCache or InvalidateTrajectories to rebuild an
-// existing grid.
+// setting applies to grids built afterwards; new table versions keep
+// answering from their inherited base grid until it compacts, so call
+// ResetCache or InvalidateTrajectories to rebuild an existing grid.
 func (e *Engine) SetAggGrid(n int) {
 	if n < 0 {
 		n = -1
@@ -191,22 +190,23 @@ func (e *Engine) SetAggGrid(n int) {
 // gridEnabled reports whether sample queries may use the grid.
 func (e *Engine) gridEnabled() bool { return e.gridCells.Load() >= 0 }
 
-// sampleGrid returns the pre-aggregated grid of the query's table
-// version. Unlike table(), it never triggers the LIT build —
-// sample-only queries don't pay for interpolation.
-func (e *Engine) sampleGrid(ctx context.Context, qc *qctl) (*agggrid.Grid, error) {
-	if qc.terr != nil {
-		return nil, qc.terr
+// samples returns the sample index of the query's table version.
+// Unlike table(), it never triggers the LIT build — sample-only
+// queries don't pay for interpolation.
+func (e *Engine) samples(ctx context.Context, qc *qctl) (*sampleIndex, error) {
+	_, tc, err := qc.entry()
+	if err != nil {
+		return nil, err
 	}
-	g, err := qc.tc.aggGrid(ctx, e)
+	ix, err := tc.sampleIndex(ctx, e)
 	if err != nil {
 		// Drop the failed entry on permanent errors so a later call can
 		// retry; transient aborts (cancel, budget, fault, panic) keep
 		// the entry — its buildUnit already reset for retry.
-		e.dropEntryOnPermanent(qc.tc, err)
+		e.dropEntryOnPermanent(tc, err)
 		return nil, err
 	}
-	return g, nil
+	return ix, nil
 }
 
 // --- Type 1: spatial aggregation ------------------------------------
@@ -378,14 +378,14 @@ func (e *Engine) ObjectsSampledAt(ctx context.Context, table string, t timedim.I
 			return nil, err
 		}
 		if e.gridEnabled() {
-			g, err := e.sampleGrid(ctx, qc)
+			ix, err := e.samples(ctx, qc)
 			if err != nil {
 				return nil, err
 			}
 			if err := qc.step(ctx); err != nil {
 				return nil, err
 			}
-			out, gst := g.ObjectsSampledStats(pg, int64(t), int64(t), e.metrics())
+			out, gst := ix.objects(pg, int64(t), int64(t), e.metrics())
 			if err := qc.addRows(ctx, gst.Rows); err != nil {
 				return nil, err
 			}
@@ -496,7 +496,8 @@ func (e *Engine) Trajectories(ctx context.Context, table string) (map[moft.Oid]*
 // of exactly that version, so that everything one query reads comes
 // from one version. A version no query has resolved yet gets a fresh
 // entry whose parent is the entry it replaces (or, when that was never
-// built, that entry's parent): the first reader derives from it.
+// built, that entry's parent): the first reader derives from it. The
+// fresh entry inherits the replaced entry's sample base the same way.
 // Resolving an unchanged table takes only read locks and one version
 // compare.
 func (e *Engine) view(table string) (*moft.Table, *tableCache, error) {
@@ -526,6 +527,7 @@ func (e *Engine) view(table string) (*moft.Table, *tableCache, error) {
 			parent = tc.parent.Load()
 		}
 		next.parent.Store(parent)
+		next.base = tc.handOn()
 	}
 	e.litCache[table] = next
 	e.updateCacheGaugesLocked()
@@ -556,10 +558,10 @@ func (e *Engine) dropEntryOnPermanent(tc *tableCache, err error) {
 // every caller waiting on the same build. A build abandoned mid-flight
 // (cancel, budget, fault) resets its unit so the next caller retries.
 func (e *Engine) table(ctx context.Context, qc *qctl) (*tableCache, error) {
-	if qc.terr != nil {
-		return nil, qc.terr
+	_, tc, err := qc.entry()
+	if err != nil {
+		return nil, err
 	}
-	tc := qc.tc
 	met := e.metrics()
 	hit := tc.lit.ok()
 	qc.cacheHit(hit)
@@ -612,8 +614,9 @@ func (e *Engine) updateCacheGaugesLocked() {
 }
 
 // InvalidateTrajectories forgets every cache of the table —
-// trajectories, the prefilter R-tree, memoized intervals and the grid
-// — and so forces the next query to rebuild them from scratch.
+// trajectories, the prefilter R-tree, memoized intervals and the
+// sample index with the base grid it inherited — and so forces the
+// next query to rebuild them from scratch.
 // Publishing a new table version needs no call: caches belong to a
 // version (see view). Queries already in flight finish on the state
 // they began with.
@@ -665,7 +668,7 @@ func (e *Engine) ObjectsPassingThrough(ctx context.Context, table string, pg geo
 // open bracket.
 func (e *Engine) objectsPassingThrough(ctx context.Context, qc *qctl, pg geom.Polygon, iv timedim.Interval) ([]moft.Oid, error) {
 	// Temporal prefilter: interpolated trajectories live inside the
-	// snapshot's sample time extent, so a window strictly disjoint from
+	// version's sample time extent, so a window strictly disjoint from
 	// [minT, maxT] cannot intersect any trajectory — answer empty
 	// without building LITs or inside-intervals. Exact even for the
 	// boundary-graze semantics: clampTotal's closed clamp requires the
@@ -676,11 +679,7 @@ func (e *Engine) objectsPassingThrough(ctx context.Context, qc *qctl, pg geom.Po
 		if terr != nil {
 			return nil, terr
 		}
-		cols, cerr := tbl.ColumnsCtx(ctx)
-		if cerr != nil {
-			return nil, cerr
-		}
-		if lo, hi, ok := cols.TimeSpan(); ok && (iv.Hi < lo || iv.Lo > hi) {
+		if lo, hi, ok := tbl.TimeSpan(); ok && (iv.Hi < lo || iv.Lo > hi) {
 			e.metrics().AggGridTimeSkips.Inc()
 			return nil, nil
 		}
@@ -744,14 +743,14 @@ func (e *Engine) objectsSampledInside(ctx context.Context, qc *qctl, pg geom.Pol
 		return nil, err
 	}
 	if e.gridEnabled() {
-		g, err := e.sampleGrid(ctx, qc)
+		ix, err := e.samples(ctx, qc)
 		if err != nil {
 			return nil, err
 		}
 		if err := qc.step(ctx); err != nil {
 			return nil, err
 		}
-		out, gst := g.ObjectsSampledStats(pg, int64(iv.Lo), int64(iv.Hi), e.metrics())
+		out, gst := ix.objects(pg, int64(iv.Lo), int64(iv.Hi), e.metrics())
 		if err := qc.addRows(ctx, gst.Rows); err != nil {
 			return nil, err
 		}
@@ -819,14 +818,14 @@ func (e *Engine) CountSamplesInside(ctx context.Context, table string, pg geom.P
 			return 0, err
 		}
 		if e.gridEnabled() {
-			g, err := e.sampleGrid(ctx, qc)
+			ix, err := e.samples(ctx, qc)
 			if err != nil {
 				return 0, err
 			}
 			if err := qc.step(ctx); err != nil {
 				return 0, err
 			}
-			n, gst := g.CountSamplesStats(pg, int64(iv.Lo), int64(iv.Hi), e.metrics())
+			n, gst := ix.countSamples(pg, int64(iv.Lo), int64(iv.Hi), e.metrics())
 			if err := qc.addRows(ctx, gst.Rows); err != nil {
 				return 0, err
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -82,7 +83,20 @@ type qctl struct {
 }
 
 // table returns the table version the query reads.
-func (q *qctl) table() (*moft.Table, error) { return q.tbl, q.terr }
+func (q *qctl) table() (*moft.Table, error) {
+	tbl, _, err := q.entry()
+	return tbl, err
+}
+
+// entry returns the table version the query reads and its cache entry.
+// A table query named no table when both are unset: run resolves a
+// table only for a non-empty name.
+func (q *qctl) entry() (*moft.Table, *tableCache, error) {
+	if q.tc == nil && q.terr == nil {
+		return nil, nil, fmt.Errorf("core: unknown table %q", "")
+	}
+	return q.tbl, q.tc, q.terr
+}
 
 // cacheHit tallies one engine cache lookup (LIT cache, interval
 // cache) for the query's telemetry record. Nil-safe.

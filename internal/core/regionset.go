@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"sort"
 
-	"mogis/internal/agggrid"
 	"mogis/internal/geom"
 	"mogis/internal/layer"
 	"mogis/internal/moft"
@@ -100,23 +99,17 @@ func (e *Engine) countRegionSet(ctx context.Context, qc *qctl, q RegionSetQuery)
 		return RegionSetCount{}, err
 	}
 	gr := granules{width: q.Granule, n: 1}
-	if q.SampledOnly || gr.width > 0 {
+	if gr.width > 0 {
 		tbl, err := qc.table()
 		if err != nil {
 			return RegionSetCount{}, err
 		}
-		cols, err := tbl.ColumnsCtx(ctx)
-		if err != nil {
-			return RegionSetCount{}, err
-		}
-		if gr.width > 0 {
-			gr = groupedGranules(q.Window, gr.width, cols)
-		}
-		if q.SampledOnly {
-			return e.sampledRegionSet(ctx, qc, cols, pgs, q.Window, gr)
-		}
+		gr = groupedGranules(q.Window, gr.width, tbl)
 	}
-	return e.passingRegionSet(ctx, qc, q.Table, pgs, q.Window, gr)
+	if q.SampledOnly {
+		return e.sampledRegionSet(ctx, qc, pgs, q.Window, gr)
+	}
+	return e.passingRegionSet(ctx, qc, pgs, q.Window, gr)
 }
 
 // regionPolygons resolves a region set's polygon ids.
@@ -144,13 +137,13 @@ type granules struct {
 	n           int
 }
 
-// groupedGranules spans the window clamped to the snapshot's time
-// extent: samples and interpolated trajectories both live inside it,
-// so no granule outside can receive an object, and the granule count
-// stays bounded by the data whatever the window.
-func groupedGranules(w timedim.Interval, width int64, cols *moft.Columns) granules {
+// groupedGranules spans the window clamped to the table version's
+// time extent: samples and interpolated trajectories both live inside
+// it, so no granule outside can receive an object, and the granule
+// count stays bounded by the data whatever the window.
+func groupedGranules(w timedim.Interval, width int64, tbl *moft.Table) granules {
 	gr := granules{width: width}
-	minT, maxT, ok := cols.TimeSpan()
+	minT, maxT, ok := tbl.TimeSpan()
 	lo, hi := int64(w.Lo), int64(w.Hi)
 	if lo < int64(minT) {
 		lo = int64(minT)
@@ -239,23 +232,33 @@ func popcount(set []uint64) int {
 }
 
 // sampledRegionSet answers the sampled shapes: one bitset per granule,
-// filled from the grid (one ObjectsSampledInto per granule × polygon)
-// or, with the grid disabled, by the columnar scan.
-func (e *Engine) sampledRegionSet(ctx context.Context, qc *qctl, cols *moft.Columns, pgs []geom.Polygon, w timedim.Interval, gr granules) (RegionSetCount, error) {
+// filled from the sample index (one grid ObjectsSampledInto per
+// granule × polygon, then one pass over the tail) or, with the grid
+// disabled, by the columnar scan.
+func (e *Engine) sampledRegionSet(ctx context.Context, qc *qctl, pgs []geom.Polygon, w timedim.Interval, gr granules) (RegionSetCount, error) {
 	var sets []uint64
 	var words int
 	var err error
 	if e.gridEnabled() {
-		g, gerr := e.sampleGrid(ctx, qc)
-		if gerr != nil {
-			return RegionSetCount{}, gerr
+		ix, ierr := e.samples(ctx, qc)
+		if ierr != nil {
+			return RegionSetCount{}, ierr
 		}
 		sp := e.mctx.Tracer().Start("regionset_grid")
-		sets, words, err = e.sampledRegionSetGrid(ctx, qc, g, pgs, w, gr)
+		sets, words, err = e.sampledRegionSetGrid(ctx, qc, ix, pgs, w, gr)
 		sp.SetCount("polygons", int64(len(pgs)))
 		sp.SetCount("granules", int64(gr.n))
+		sp.SetCount("tail_rows", int64(len(ix.tail)))
 		sp.End()
 	} else {
+		tbl, terr := qc.table()
+		if terr != nil {
+			return RegionSetCount{}, terr
+		}
+		cols, cerr := tbl.ColumnsCtx(ctx)
+		if cerr != nil {
+			return RegionSetCount{}, cerr
+		}
 		sets, words, err = e.sampledRegionSetScan(ctx, qc, cols, pgs, w, gr)
 	}
 	if err != nil {
@@ -266,10 +269,10 @@ func (e *Engine) sampledRegionSet(ctx context.Context, qc *qctl, cols *moft.Colu
 }
 
 // sampledRegionSetGrid ORs every polygon's grid answer for each
-// granule's window into that granule's bitset.
-func (e *Engine) sampledRegionSetGrid(ctx context.Context, qc *qctl, g *agggrid.Grid, pgs []geom.Polygon, w timedim.Interval, gr granules) ([]uint64, int, error) {
+// granule's window into that granule's bitset, then the tail's.
+func (e *Engine) sampledRegionSetGrid(ctx context.Context, qc *qctl, ix *sampleIndex, pgs []geom.Polygon, w timedim.Interval, gr granules) ([]uint64, int, error) {
 	met := e.metrics()
-	words := g.SetWords()
+	g, words := ix.base.grid, ix.words
 	sets := make([]uint64, gr.n*words)
 	for k := 0; k < gr.n; k++ {
 		lo, hi := gr.window(k, w)
@@ -283,6 +286,9 @@ func (e *Engine) sampledRegionSetGrid(ctx context.Context, qc *qctl, g *agggrid.
 				return nil, 0, err
 			}
 		}
+	}
+	if err := qc.addRows(ctx, ix.tailRegionSet(pgs, w, gr, sets)); err != nil {
+		return nil, 0, err
 	}
 	return sets, words, nil
 }
@@ -342,7 +348,7 @@ func (e *Engine) sampledRegionSetScan(ctx context.Context, qc *qctl, cols *moft.
 // start is <= the clipped end; the total counts objects with a
 // non-empty clipped interval, kept in its own bitset because it is
 // not always the union of the marked granules.
-func (e *Engine) passingRegionSet(ctx context.Context, qc *qctl, table string, pgs []geom.Polygon, w timedim.Interval, gr granules) (RegionSetCount, error) {
+func (e *Engine) passingRegionSet(ctx context.Context, qc *qctl, pgs []geom.Polygon, w timedim.Interval, gr granules) (RegionSetCount, error) {
 	tc, err := e.table(ctx, qc)
 	if err != nil {
 		return RegionSetCount{}, err

@@ -161,8 +161,11 @@ func TestDerivedCachesMatchFreshBuild(t *testing.T) {
 
 // TestDerivedCacheWork: after a batch touching k objects, the first
 // reader of the new version interpolates exactly those k objects,
-// recomputes intervals only for them in each polygon it looks up, and
-// the new version's grid builds one time order.
+// recomputes intervals only for them in each polygon it looks up,
+// clipping only their new legs, and answers sampled queries from the
+// inherited grid plus a tail: no grid build and no time order. A run of
+// batches whose tail passes the compaction bound builds exactly one
+// grid.
 func TestDerivedCacheWork(t *testing.T) {
 	city := workload.GenCity(workload.CityConfig{Seed: 7, Cols: 4, Rows: 4})
 	fm := workload.GenTrajectories(city.Extent, workload.TrajConfig{Seed: 11, Objects: 64, Samples: 40})
@@ -200,6 +203,7 @@ func TestDerivedCacheWork(t *testing.T) {
 	fctx.AddTable(next)
 
 	interp, recomputed := met.ObjectsInterpolated.Value(), met.IntervalObjectsRecomputed.Value()
+	legs, builds := met.IntervalLegsClipped.Value(), met.AggGridBuilds.Value()
 	orders := obs.Std.MOFTTimeOrders.Value()
 	tr := obs.NewTracer("derive")
 	fctx.SetTracer(tr)
@@ -214,8 +218,15 @@ func TestDerivedCacheWork(t *testing.T) {
 	if n := met.IntervalObjectsRecomputed.Value() - recomputed; n <= 0 || n > k*int64(len(ids)) {
 		t.Errorf("interval objects recomputed = %d, want 1..%d", n, k*int64(len(ids)))
 	}
-	if n := obs.Std.MOFTTimeOrders.Value() - orders; n != 1 {
-		t.Errorf("time order builds = %d, want 1", n)
+	// Each touched object gained two samples, so two legs.
+	if n := met.IntervalLegsClipped.Value() - legs; n <= 0 || n > 2*k*int64(len(ids)) {
+		t.Errorf("interval legs clipped = %d, want 1..%d", n, 2*k*int64(len(ids)))
+	}
+	if n := met.AggGridBuilds.Value() - builds; n != 0 {
+		t.Errorf("grid builds = %d, want 0", n)
+	}
+	if n := obs.Std.MOFTTimeOrders.Value() - orders; n != 0 {
+		t.Errorf("time order builds = %d, want 0", n)
 	}
 	sp := root.Find("derive_cache")
 	if sp == nil {
@@ -231,6 +242,42 @@ func TestDerivedCacheWork(t *testing.T) {
 	query()
 	if met.ObjectsInterpolated.Value() != interp || met.IntervalObjectsRecomputed.Value() != recomputed {
 		t.Error("a second reader of the version redid derivation work")
+	}
+
+	// Batches of 40 rows grow the tail until it passes the bound: the
+	// first reader past it compacts, and only that one.
+	cur, tail, base := next, int64(len(batch)), int64(fm.Len())
+	builds = met.AggGridBuilds.Value()
+	compactions, after := 0, 0
+	for i := 0; after < 2; i++ {
+		if compactions > 0 {
+			after++ // two more batches after the compaction
+		}
+		if i == 20 {
+			t.Fatal("the tail never passed the compaction bound")
+		}
+		var rows []moft.Tuple
+		for o := moft.Oid(1); o <= 20; o++ {
+			last := cur.ObjectTuples(o)[len(cur.ObjectTuples(o))-1]
+			rows = append(rows,
+				moft.Tuple{Oid: o, T: last.T + 30, X: last.X, Y: last.Y},
+				moft.Tuple{Oid: o, T: last.T + 60, X: last.X, Y: last.Y})
+		}
+		if cur, err = cur.WithAppended(rows); err != nil {
+			t.Fatal(err)
+		}
+		fctx.AddTable(cur)
+		if tail += int64(len(rows)); tail*core.CompactDivisor > base {
+			base, tail = base+tail, 0
+			compactions++
+		}
+		query()
+	}
+	if compactions != 1 {
+		t.Fatalf("the batches compacted %d times, want 1", compactions)
+	}
+	if n := met.AggGridBuilds.Value() - builds; n != 1 {
+		t.Errorf("grid builds over a run of batches past the bound = %d, want 1", n)
 	}
 }
 

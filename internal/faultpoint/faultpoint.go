@@ -23,7 +23,8 @@ const (
 	// CoreLITBuild fires inside the per-table trajectory (LIT) cache
 	// build, before any cache state is published.
 	CoreLITBuild = "core/lit-build"
-	// CoreGridBuild fires inside the pre-aggregated sample grid build.
+	// CoreGridBuild fires inside the sample index build: a base grid or
+	// a tail over an inherited one.
 	CoreGridBuild = "core/grid-build"
 	// CoreFanoutChunk fires at the start of every worker chunk of the
 	// per-object query fan-out.

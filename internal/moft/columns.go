@@ -15,8 +15,9 @@ import (
 // loops (grid builds, polygon-aggregate scans, trajectory
 // interpolation builds) stream T/X/Y sequentially instead of
 // pointer-chasing Tuple structs, which keeps them bound by memory
-// bandwidth rather than cache misses. A snapshot is immutable; the
-// owning Table rebuilds it lazily after mutations.
+// bandwidth rather than cache misses. A snapshot is immutable and
+// belongs to one table version, built on first use; a version derived
+// by WithAppended has none until someone asks for it.
 type Columns struct {
 	// Oids lists the distinct object identifiers in ascending order;
 	// object i owns rows [Starts[i], Starts[i+1]).
@@ -66,9 +67,9 @@ func (c *Columns) TimeSpan() (lo, hi timedim.Instant, ok bool) {
 // TimeOrder returns the row indices sorted by (instant, row) — a
 // stable time ordering of the whole snapshot. It is built once on
 // first use and shared between callers, so the returned slice must
-// not be mutated. Because it lives inside the snapshot, it is
-// invalidated with the snapshot: any table mutation that clears the
-// columnar cache discards the permutation too.
+// not be mutated. It lives inside the snapshot, so it belongs to the
+// same table version: grid builds of that version share it, and
+// loading rows in place discards it with the snapshot.
 func (c *Columns) TimeOrder() []int32 {
 	c.tonce.Do(func() {
 		c.tperm = radixTimeOrder(c.T, c.minT, c.maxT)
@@ -121,8 +122,9 @@ func radixTimeOrder(ts []int64, minT, maxT int64) []int32 {
 	return p
 }
 
-// Columns returns the columnar snapshot of the table, building it on
-// first use after any mutation. The snapshot is shared and must not
+// Columns returns the columnar snapshot of the table version,
+// building it in O(table) on first use (and again on the first use
+// after rows are loaded in place). The snapshot is shared and must not
 // be mutated; concurrent readers are safe once loading has finished
 // (the build is double-checked behind the table's mutex, like the
 // lazy sort).

@@ -74,6 +74,14 @@ type Table struct {
 	flat atomic.Pointer[[]Tuple]
 	// cols is the lazily built columnar snapshot.
 	cols atomic.Pointer[Columns]
+	// span is the lazily computed TimeSpan.
+	span atomic.Pointer[timeSpan]
+}
+
+// timeSpan is a table's memoized TimeSpan.
+type timeSpan struct {
+	lo, hi timedim.Instant
+	ok     bool
 }
 
 // objRun is one object's samples, sorted by t. Its capacity equals its
@@ -162,6 +170,7 @@ func (t *Table) AddTuple(tp Tuple) {
 		t.sorted.Store(false)
 		t.flat.Store(nil)
 		t.cols.Store(nil)
+		t.span.Store(nil)
 	}
 	t.pending = append(t.pending, tp)
 	t.n++
@@ -252,19 +261,25 @@ func (t *Table) ObjectTuples(o Oid) []Tuple {
 
 // TimeSpan returns the minimum and maximum instants present, with
 // ok=false for an empty table. Runs are time-sorted, so only their
-// ends are read.
+// ends are read, once per version: O(objects) the first time, O(1)
+// after.
 func (t *Table) TimeSpan() (lo, hi timedim.Instant, ok bool) {
+	if sp := t.span.Load(); sp != nil {
+		return sp.lo, sp.hi, sp.ok
+	}
 	t.ensureSorted()
+	sp := &timeSpan{ok: len(t.runs) > 0}
 	for i, r := range t.runs {
 		first, last := r.rows[0].T, r.rows[len(r.rows)-1].T
-		if i == 0 || first < lo {
-			lo = first
+		if i == 0 || first < sp.lo {
+			sp.lo = first
 		}
-		if i == 0 || last > hi {
-			hi = last
+		if i == 0 || last > sp.hi {
+			sp.hi = last
 		}
 	}
-	return lo, hi, len(t.runs) > 0
+	t.span.Store(sp)
+	return sp.lo, sp.hi, sp.ok
 }
 
 // BBox returns the spatial bounding box of all samples.

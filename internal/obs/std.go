@@ -29,6 +29,10 @@ type Metrics struct {
 	// recomputed when a carried-over interval entry is first used.
 	ObjectsInterpolated       *Counter
 	IntervalObjectsRecomputed *Counter
+	// Trajectory legs clipped against a polygon for the interval
+	// cache: every leg on a miss, only the legs an object gained since
+	// the entry's version when a carried-over entry settles.
+	IntervalLegsClipped *Counter
 
 	// Geometry predicate evaluations.
 	GeomPointInPolygon *Counter
@@ -100,6 +104,7 @@ func NewMetrics(r *Registry) *Metrics {
 
 		ObjectsInterpolated:       r.Counter("mogis_core_objects_interpolated_total", "object trajectories interpolated by cache builds and derivations"),
 		IntervalObjectsRecomputed: r.Counter("mogis_core_interval_objects_recomputed_total", "per-object inside-intervals recomputed for a carried-over interval entry"),
+		IntervalLegsClipped:       r.Counter("mogis_core_interval_legs_clipped_total", "trajectory legs clipped against a polygon for the interval cache"),
 
 		GeomPointInPolygon: r.Counter("mogis_geom_point_in_polygon_total", "point-in-polygon locations evaluated"),
 		GeomClip:           r.Counter("mogis_geom_clip_total", "convex ring clips evaluated"),

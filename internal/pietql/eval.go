@@ -197,7 +197,7 @@ func ExplainPlan(q *Query) string {
 		}
 		structure := "interval cache (per-polygon inside-intervals over the prefiltered trajectories)"
 		if q.MO.SampledOnly {
-			structure = "grid/temporal (sample grid with its per-cell time index; columnar scan when the grid is off)"
+			structure = "grid/temporal (sample grid with its per-cell time index, plus the rows appended since it was built; columnar scan when the grid is off)"
 		}
 		fmt.Fprintf(&sb, "    answered by: one count_region_set call on the %s\n", structure)
 	}
@@ -579,11 +579,7 @@ func (s *System) evalMO(ctx context.Context, q *MOQuery, geoIDs map[string][]lay
 	}
 	window := q.Window
 	if !q.HasWindow {
-		cols, err := tbl.ColumnsCtx(ctx)
-		if err != nil {
-			return 0, nil, err
-		}
-		lo, hi, ok := cols.TimeSpan()
+		lo, hi, ok := tbl.TimeSpan()
 		if !ok {
 			return 0, nil, nil
 		}

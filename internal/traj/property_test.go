@@ -3,6 +3,7 @@ package traj
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -181,6 +182,30 @@ func TestLengthSpeedConsistency(t *testing.T) {
 		return l.MaxSpeed()*dur >= sum-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: extending a prefix's inside-intervals by the legs the
+// trajectory gained since equals clipping the whole trajectory, bit
+// for bit, on a polygon with a hole and a prefix ending anywhere.
+func TestInsideIntervalsFromMatchesFullClip(t *testing.T) {
+	pg := geom.Polygon{
+		Shell: geom.Ring{geom.Pt(20, 20), geom.Pt(80, 20), geom.Pt(80, 80), geom.Pt(20, 80)},
+		Holes: []geom.Ring{{geom.Pt(40, 40), geom.Pt(60, 40), geom.Pt(60, 60), geom.Pt(40, 60)}},
+	}
+	f := func(seed int64, n8, k8 uint8) bool {
+		n := 3 + int(n8)%30
+		k := 2 + int(k8)%(n-2) // the prefix has k ≥ 2 samples, k < n
+		rng := rand.New(rand.NewSource(seed))
+		s := randomSample(rng, n)
+		prior := MustLIT(s[:k]).InsidePolygonIntervals(pg)
+		kept := append([]TimeInterval(nil), prior...)
+		l := MustLIT(s)
+		got := l.InsidePolygonIntervalsFrom(pg, k-1, prior)
+		return reflect.DeepEqual(got, l.InsidePolygonIntervals(pg)) && reflect.DeepEqual(prior, kept)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

@@ -241,8 +241,20 @@ func (l *LIT) InsidePolygonIntervals(pg geom.Polygon) []TimeInterval {
 		}
 		return out
 	}
+	return l.InsidePolygonIntervalsFrom(pg, 0, nil)
+}
+
+// InsidePolygonIntervalsFrom extends prior, the InsidePolygonIntervals
+// of an earlier sample of this trajectory that ended at sample leg
+// (so it had leg+1 samples and leg ≥ 1), to the whole trajectory: only
+// legs leg onward are clipped. Merging coalesces whole chains of
+// touching intervals, so merging prior's already merged chains with the
+// new legs' pieces yields exactly InsidePolygonIntervals. prior is not
+// modified.
+func (l *LIT) InsidePolygonIntervalsFrom(pg geom.Polygon, leg int, prior []TimeInterval) []TimeInterval {
+	out := append([]TimeInterval(nil), prior...)
 	box := pg.BBox()
-	for i := 0; i < l.NumLegs(); i++ {
+	for i := leg; i < l.NumLegs(); i++ {
 		t0, t1, seg := l.Leg(i)
 		if !box.Intersects(seg.BBox()) {
 			continue
