@@ -34,7 +34,9 @@ import (
 //     InsidePolygonIntervals results (the GeoBlocks-style
 //     query-result cache), keyed by an exact fingerprint of the
 //     polygon's coordinates and evicted least-recently-used at the
-//     configured cap,
+//     configured cap; each entry is an interval column (intervals.go),
+//     flat and sorted by interval start, so a reader scans only the
+//     entries its window reaches,
 //  4. the sample index (sampleindex.go) — a sealed base, the
 //     pre-aggregated grid (internal/agggrid) of an ancestor version,
 //     plus a tail of the rows appended since; built independently of
@@ -56,9 +58,10 @@ import (
 // reader derives the entry's LITs and R-tree from its parent's,
 // interpolating only the changed objects, and carries every interval
 // entry over with those objects pending; settling an entry clips only
-// their new legs. The sample index keeps the inherited base and
-// gathers the appended rows as its tail, until the tail is large
-// enough to compact. Anything else — an unrelated table under the same
+// their new legs and merges their sorted entries with the rest of the
+// earlier column in one pass. The sample index keeps the inherited
+// base and gathers the appended rows as its tail, until the tail is
+// large enough to compact. Anything else — an unrelated table under the same
 // name, rows loaded in place into a table that was read — builds from
 // scratch. InvalidateTrajectories and ResetCache forget cached state
 // outright, inherited sample base included, forcing a full rebuild.
@@ -179,7 +182,7 @@ type tableCache struct {
 // current reports whether the entry still matches its table.
 func (tc *tableCache) current() bool { return tc.tbl.Version() == tc.ver }
 
-// intervalEntry is one memoized (polygon → per-object intervals) set.
+// intervalEntry is one memoized (polygon → interval column) set.
 // stamp is its recency: stamps are unique and monotonic (ivGen), so
 // min-stamp eviction reproduces exact LRU order.
 type intervalEntry struct {
@@ -190,13 +193,13 @@ type intervalEntry struct {
 	stamp atomic.Int64
 }
 
-// ivState is an interval entry's content. m is final for the entry's
-// version when pending is empty; otherwise m is exact for the earlier
-// version from (whose Version was fromVer) and pending lists,
+// ivState is an interval entry's content. col is final for the entry's
+// version when pending is empty; otherwise col is exact for the
+// earlier version from (whose Version was fromVer) and pending lists,
 // ascending, the objects whose intervals must be recomputed before it
 // answers.
 type ivState struct {
-	m       map[moft.Oid][]traj.TimeInterval
+	col     ivColumn
 	from    *moft.Table
 	fromVer moft.Version
 	pending []moft.Oid
@@ -295,7 +298,7 @@ func (tc *tableCache) derive(ctx context.Context, e *Engine, p *tableCache, chan
 			pending = mergeOids(st.pending, changed)
 		}
 		carried := &intervalEntry{key: key}
-		carried.state.Store(&ivState{m: st.m, from: st.from, fromVer: st.fromVer, pending: pending})
+		carried.state.Store(&ivState{col: st.col, from: st.from, fromVer: st.fromVer, pending: pending})
 		carried.stamp.Store(en.stamp.Load())
 		intervals[key] = carried
 	}
@@ -335,12 +338,22 @@ func mergeOids(a, b []moft.Oid) []moft.Oid {
 
 // ordinal returns the index of a cached object in tc.oids. Object ids
 // are usually dense, so the direct guess oid - oids[0] almost always
-// hits; otherwise a binary search finds it.
+// hits; otherwise a binary search finds it. Written out so that it
+// inlines into the interval scans, which call it per entry.
 func (tc *tableCache) ordinal(oid moft.Oid) int {
-	if i := int(oid - tc.oids[0]); i >= 0 && i < len(tc.oids) && tc.oids[i] == oid {
+	oids := tc.oids
+	if i := int(oid - oids[0]); uint(i) < uint(len(oids)) && oids[i] == oid {
 		return i
 	}
-	return sort.Search(len(tc.oids), func(i int) bool { return tc.oids[i] >= oid })
+	lo, hi := 0, len(oids)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); oids[m] < oid {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // candidates returns, in sorted oid order, the objects whose
@@ -366,20 +379,16 @@ func (tc *tableCache) candidates(ctx context.Context, met *obs.Metrics, box geom
 	return out, nil
 }
 
-// polygonKey is an exact fingerprint of a polygon's coordinates: the
-// raw float64 bits of every vertex, rings separated by a NaN marker
-// (no finite coordinate collides with it). Two polygons share a key
-// iff they are vertex-identical, so cache hits are never wrong.
-func polygonKey(pg geom.Polygon) string {
-	n := len(pg.Shell)
-	for _, h := range pg.Holes {
-		n += len(h) + 1
-	}
-	buf := make([]byte, 0, 16*n)
-	var tmp [8]byte
+// appendPolygonKey appends pg's interval-cache key to dst: an exact
+// fingerprint of the polygon's coordinates, the raw float64 bits of
+// every vertex, rings separated by a NaN marker (no finite coordinate
+// collides with it). Two polygons share a key iff they are
+// vertex-identical, so cache hits are never wrong. A lookup writes the
+// key into a stack buffer and indexes the cache with m[string(buf)],
+// which Go does without allocating, so a hit builds no key string.
+func appendPolygonKey(dst []byte, pg geom.Polygon) []byte {
 	put := func(f float64) {
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(f))
-		buf = append(buf, tmp[:]...)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 	}
 	for _, p := range pg.Shell {
 		put(p.X)
@@ -392,26 +401,28 @@ func polygonKey(pg geom.Polygon) string {
 			put(p.Y)
 		}
 	}
-	return string(buf)
+	return dst
 }
 
-// polygonIntervals returns, for every object that can intersect pg,
-// the merged time intervals its interpolated trajectory spends inside
-// pg over its whole time domain (unclamped — callers clamp to their
-// query window, which keeps the cache window-independent). The result
-// map is shared with the cache; callers must not mutate it. Absent
-// objects spend no time inside. An aborted computation (cancel,
-// budget, fault) is never inserted into the cache.
+// polygonIntervals returns the interval column of pg: for every object
+// that can intersect pg, the merged time intervals its interpolated
+// trajectory spends inside pg over its whole time domain (unclamped —
+// readers scan only what their window reaches, which keeps the cache
+// window-independent). The column is shared with the cache; callers
+// must not mutate it. Absent objects spend no time inside. An aborted
+// computation (cancel, budget, fault) is never inserted into the
+// cache.
 //
 //moglint:deterministic
-func (e *Engine) polygonIntervals(ctx context.Context, qc *qctl, tc *tableCache, pg geom.Polygon) (map[moft.Oid][]traj.TimeInterval, error) {
+func (e *Engine) polygonIntervals(ctx context.Context, qc *qctl, tc *tableCache, pg geom.Polygon) (*ivColumn, error) {
 	met := e.metrics()
 	cacheCap := e.intervalCacheCap()
-	var key string
+	var kbuf [1024]byte
+	var key []byte
 	if cacheCap > 0 {
-		key = polygonKey(pg)
+		key = appendPolygonKey(kbuf[:0], pg)
 		tc.imu.RLock()
-		en, ok := tc.intervals[key]
+		en, ok := tc.intervals[string(key)]
 		if ok {
 			en.stamp.Store(tc.ivGen.Add(1)) // most recently used
 		}
@@ -430,10 +441,10 @@ func (e *Engine) polygonIntervals(ctx context.Context, qc *qctl, tc *tableCache,
 		return nil, err
 	}
 	workers := e.workerCount(len(cand))
-	parts := make([]map[moft.Oid][]traj.TimeInterval, workers)
+	parts := make([][]ivEntry, workers)
 	err = forChunks(ctx, workers, len(cand), func(chunk, lo, hi int) error {
-		m := make(map[moft.Oid][]traj.TimeInterval)
-		rows, results, legs := int64(0), int64(0), int64(0)
+		var ents []ivEntry
+		rows, legs := int64(0), int64(0)
 		for _, oid := range cand[lo:hi] {
 			l := tc.lits[oid]
 			if rows += int64(len(l.Sample())); rows >= checkEvery {
@@ -443,37 +454,28 @@ func (e *Engine) polygonIntervals(ctx context.Context, qc *qctl, tc *tableCache,
 				rows = 0
 			}
 			legs += int64(l.NumLegs())
-			if ivs := l.InsidePolygonIntervals(pg); len(ivs) > 0 {
-				m[oid] = ivs
-				results += int64(len(ivs))
-			}
+			ents = appendIvEntries(ents, oid, l.InsidePolygonIntervals(pg))
 		}
-		parts[chunk] = m
+		slices.SortFunc(ents, cmpIvEntry)
+		parts[chunk] = ents
 		met.IntervalLegsClipped.Add(legs)
 		if err := qc.addRows(ctx, rows); err != nil {
 			return err
 		}
-		return qc.addResults(results)
+		return qc.addResults(int64(len(ents)))
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := parts[0]
-	if out == nil {
-		out = make(map[moft.Oid][]traj.TimeInterval)
-	}
-	merged := 0
-	for _, m := range parts[1:] {
-		for oid, ivs := range m {
-			if merged%checkEvery == 0 {
-				if err := qc.step(ctx); err != nil {
-					return nil, err
-				}
-			}
-			merged++
-			out[oid] = ivs
+	// Each chunk is sorted; merge them in chunk order.
+	ents := parts[0]
+	for _, part := range parts[1:] {
+		if err := qc.step(ctx); err != nil {
+			return nil, err
 		}
+		ents = mergeIvEntries(ents, nil, part)
 	}
+	st := &ivState{col: newIvColumn(ents), from: tc.tbl, fromVer: tc.ver}
 
 	if cacheCap > 0 {
 		if err := faultpoint.Hit(faultpoint.CoreIntervalInsert); err != nil {
@@ -483,7 +485,7 @@ func (e *Engine) polygonIntervals(ctx context.Context, qc *qctl, tc *tableCache,
 		if tc.intervals == nil {
 			tc.intervals = make(map[string]*intervalEntry)
 		}
-		if _, dup := tc.intervals[key]; !dup {
+		if _, dup := tc.intervals[string(key)]; !dup {
 			// Evict least-recently-used entries until the new one fits
 			// within the cap: the minimum stamp is the LRU entry (stamps
 			// are unique, so there are no ties).
@@ -497,46 +499,77 @@ func (e *Engine) polygonIntervals(ctx context.Context, qc *qctl, tc *tableCache,
 				delete(tc.intervals, oldest.key)
 				met.IntervalCacheEvictions.Inc()
 			}
-			en := &intervalEntry{key: key}
-			en.state.Store(&ivState{m: out, from: tc.tbl, fromVer: tc.ver})
+			en := &intervalEntry{key: string(key)}
+			en.state.Store(st)
 			en.stamp.Store(tc.ivGen.Add(1))
-			tc.intervals[key] = en
+			tc.intervals[en.key] = en
 		}
 		tc.imu.Unlock()
 		e.updateCacheGauges()
 	}
-	return out, nil
+	return &st.col, nil
 }
 
-// settle returns a cached entry's map for tc's version. An entry
-// carried over from an earlier version first recomputes, single-flight
-// and on a copy of the earlier map, the intervals of its pending
-// objects: the same prefilter a fresh computation applies, then a clip
-// of only the legs the object gained since (runs only grow forward in
-// a lineage, so its earlier legs' intervals stand). An object that had
-// fewer than two samples, or whose earlier version was since reloaded
-// in place, is clipped in full.
+// settle returns a cached entry's column for tc's version. An entry
+// carried over from an earlier version first recomputes, single-flight,
+// the intervals of its pending objects: the same prefilter a fresh
+// computation applies, then a clip of only the legs the object gained
+// since (runs only grow forward in a lineage, so its earlier legs'
+// intervals stand). An object that had fewer than two samples, or
+// whose earlier version was since reloaded in place, is clipped in
+// full. One pass over the earlier column collects the pending objects'
+// intervals, and a second merges the rest with their sorted
+// recomputed entries into the new column; when no pending object is
+// inside pg, before or after, the earlier column stands as it is.
 //
 //moglint:deterministic
-func (e *Engine) settle(ctx context.Context, qc *qctl, tc *tableCache, en *intervalEntry, pg geom.Polygon) (map[moft.Oid][]traj.TimeInterval, error) {
+func (e *Engine) settle(ctx context.Context, qc *qctl, tc *tableCache, en *intervalEntry, pg geom.Polygon) (*ivColumn, error) {
 	if st := en.state.Load(); len(st.pending) == 0 {
-		return st.m, nil
+		return &st.col, nil
 	}
 	_, err := en.fix.run(ctx, "core/interval-fix", func() error {
 		st := en.state.Load()
 		if len(st.pending) == 0 {
 			return nil
 		}
-		m := maps.Clone(st.m)
+		// pending as a bitset over tc's ordinals: every oid of the
+		// earlier column and every pending oid is an object of tc.
+		isPending := make([]uint64, (len(tc.oids)+63)/64)
+		for i, oid := range st.pending {
+			if i%checkEvery == 0 {
+				if err := qc.step(ctx); err != nil {
+					return err
+				}
+			}
+			o := tc.ordinal(oid)
+			isPending[o>>6] |= 1 << uint(o&63)
+		}
+		kept := func(oid moft.Oid) bool {
+			o := tc.ordinal(oid)
+			return isPending[o>>6]&(1<<uint(o&63)) == 0
+		}
+		prior := make([][]traj.TimeInterval, len(st.pending))
+		dropped := false
+		for i, x := range st.col.ents {
+			if i%checkEvery == 0 {
+				if err := qc.step(ctx); err != nil {
+					return err
+				}
+			}
+			if !kept(x.oid) {
+				j, _ := slices.BinarySearch(st.pending, x.oid)
+				prior[j] = append(prior[j], traj.TimeInterval{Lo: x.lo, Hi: x.hi})
+				dropped = true
+			}
+		}
 		box := pg.BBox()
 		from := st.from
 		if from.Version() != st.fromVer {
 			from = nil
 		}
+		var fresh []ivEntry
 		rows, legs := int64(0), int64(0)
-		for _, oid := range st.pending {
-			prior := m[oid]
-			delete(m, oid)
+		for j, oid := range st.pending {
 			l := tc.lits[oid]
 			if !l.BBox().Intersects(box) {
 				continue
@@ -555,29 +588,32 @@ func (e *Engine) settle(ctx context.Context, qc *qctl, tc *tableCache, en *inter
 			}
 			var ivs []traj.TimeInterval
 			if leg >= 1 {
-				ivs = l.InsidePolygonIntervalsFrom(pg, leg, prior)
+				ivs = l.InsidePolygonIntervalsFrom(pg, leg, prior[j])
 				legs += int64(l.NumLegs() - leg)
 			} else {
 				ivs = l.InsidePolygonIntervals(pg)
 				legs += int64(l.NumLegs())
 			}
-			if len(ivs) > 0 {
-				m[oid] = ivs
-			}
+			fresh = appendIvEntries(fresh, oid, ivs)
 		}
 		if err := qc.addRows(ctx, rows); err != nil {
 			return err
 		}
+		slices.SortFunc(fresh, cmpIvEntry)
 		met := e.metrics()
 		met.IntervalObjectsRecomputed.Add(int64(len(st.pending)))
 		met.IntervalLegsClipped.Add(legs)
-		en.state.Store(&ivState{m: m, from: tc.tbl, fromVer: tc.ver})
+		col := st.col // no pending object is inside pg: the column stands
+		if dropped || len(fresh) > 0 {
+			col = newIvColumn(mergeIvEntries(st.col.ents, kept, fresh))
+		}
+		en.state.Store(&ivState{col: col, from: tc.tbl, fromVer: tc.ver})
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return en.state.Load().m, nil
+	return &en.state.Load().col, nil
 }
 
 // workerCount sizes the pool for a fan-out over n objects: the

@@ -19,6 +19,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -688,35 +689,45 @@ func (e *Engine) objectsPassingThrough(ctx context.Context, qc *qctl, pg geom.Po
 }
 
 // objectsPassingThroughFull is ObjectsPassingThrough past the temporal
-// prefilter: inside-intervals intersected with the query window.
-func (e *Engine) objectsPassingThroughFull(ctx context.Context, qc *qctl, pg geom.Polygon, iv timedim.Interval) (out []moft.Oid, err error) {
+// prefilter: the entries of the interval column that touch the query
+// window, marked in an ordinal bitset read out in ascending oid order.
+func (e *Engine) objectsPassingThroughFull(ctx context.Context, qc *qctl, pg geom.Polygon, iv timedim.Interval) ([]moft.Oid, error) {
 	tc, err := e.table(ctx, qc)
 	if err != nil {
 		return nil, err
 	}
-	ivmap, err := e.polygonIntervals(ctx, qc, tc, pg)
+	col, err := e.polygonIntervals(ctx, qc, tc, pg)
 	if err != nil {
 		return nil, err
 	}
-	out = make([]moft.Oid, 0, len(ivmap))
-	scanned := 0
-	for oid, ivs := range ivmap {
-		if scanned%checkEvery == 0 {
+	set := make([]uint64, (len(tc.oids)+63)/64)
+	wlo, whi := float64(iv.Lo), float64(iv.Hi)
+	cur := col.window(wlo, whi)
+	defer func() { e.metrics().IntervalEntriesScanned.Add(int64(cur.scanned)) }()
+	for run := cur.next(); run != nil; run = cur.next() {
+		if cur.fresh >= checkEvery {
+			if err := qc.step(ctx); err != nil {
+				return nil, err
+			}
+			cur.fresh = 0
+		}
+		for _, en := range run {
+			if en.hi >= wlo {
+				o := tc.ordinal(en.oid)
+				set[o>>6] |= 1 << uint(o&63)
+			}
+		}
+	}
+	var out []moft.Oid
+	for wd, w := range set {
+		if wd%checkEvery == 0 {
 			if err := qc.step(ctx); err != nil {
 				return nil, err
 			}
 		}
-		scanned++
-		for _, ti := range ivs {
-			if ti.Lo <= float64(iv.Hi) && float64(iv.Lo) <= ti.Hi {
-				out = append(out, oid)
-				break
-			}
+		for ; w != 0; w &= w - 1 {
+			out = append(out, tc.oids[wd<<6+bits.TrailingZeros64(w)])
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	if len(out) == 0 {
-		return nil, nil
 	}
 	return out, nil
 }
@@ -900,21 +911,27 @@ func (e *Engine) TimeSpentInside(ctx context.Context, table string, pg geom.Poly
 		if err != nil {
 			return nil, err
 		}
-		ivmap, err := e.polygonIntervals(ctx, qc, tc, pg)
+		col, err := e.polygonIntervals(ctx, qc, tc, pg)
 		if err != nil {
 			return nil, err
 		}
-		out := make(map[moft.Oid]float64, len(ivmap))
-		scanned := 0
-		for oid, ivs := range ivmap {
-			if scanned%checkEvery == 0 {
+		// clampTotal along the column: an object's entries come in its
+		// own interval order, so each sum adds in the same order.
+		out := make(map[moft.Oid]float64)
+		lo, hi := float64(iv.Lo), float64(iv.Hi)
+		cur := col.window(lo, hi)
+		defer func() { e.metrics().IntervalEntriesScanned.Add(int64(cur.scanned)) }()
+		for run := cur.next(); run != nil; run = cur.next() {
+			if cur.fresh >= checkEvery {
 				if err := qc.step(ctx); err != nil {
 					return nil, err
 				}
+				cur.fresh = 0
 			}
-			scanned++
-			if sum, touched := clampTotal(ivs, float64(iv.Lo), float64(iv.Hi)); touched {
-				out[oid] = sum
+			for _, en := range run {
+				if a, b := max(en.lo, lo), min(en.hi, hi); b >= a {
+					out[en.oid] += b - a
+				}
 			}
 		}
 		return out, nil
@@ -989,7 +1006,7 @@ func (e *Engine) ObjectsEverWithinRadius(ctx context.Context, table string, cent
 // CountPassingThroughGeometries counts the objects whose interpolated
 // trajectory intersects at least one of the given polygons of a layer
 // during iv: the ungrouped interpolated CountRegionSet, answered from
-// the cached, prefiltered per-polygon interval maps.
+// the cached, prefiltered per-polygon interval columns.
 //
 //moglint:deterministic
 func (e *Engine) CountPassingThroughGeometries(ctx context.Context, table, layerName string, ids []layer.Gid, iv timedim.Interval) (int, error) {

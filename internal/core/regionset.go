@@ -22,9 +22,9 @@ import (
 //   - sampled: each polygon's grid answer (cover cells, temporal index,
 //     boundary refinement) is ORed into the granule's bitset; with the
 //     grid disabled a columnar scan fills the same bitsets;
-//   - interpolated: the cached, prefiltered per-polygon inside-interval
-//     maps are clipped to the window and mark every granule the
-//     clipped interval reaches.
+//   - interpolated: the entries of the cached, prefiltered per-polygon
+//     interval columns that the window reaches are clipped to it and
+//     mark every granule the clipped interval reaches.
 //
 // A granule's count is its popcount; the total is the popcount of the
 // union (interpolated grouped totals keep their own bitset, see
@@ -161,12 +161,15 @@ func groupedGranules(w timedim.Interval, width int64, tbl *moft.Table) granules 
 
 // floorTo rounds t down to a multiple of w (w > 0), like
 // timedim.Instant.TruncateHour for w = one hour.
-func floorTo(t, w int64) int64 {
+func floorTo(t, w int64) int64 { return floorDiv(t, w) * w }
+
+// floorDiv is t / w rounded down (w > 0), with one division.
+func floorDiv(t, w int64) int64 {
 	q := t / w
-	if t%w < 0 {
+	if q*w > t {
 		q--
 	}
-	return q * w
+	return q
 }
 
 // index returns the granule holding instant t, or -1 outside the span.
@@ -341,13 +344,14 @@ func (e *Engine) sampledRegionSetScan(ctx context.Context, qc *qctl, cols *moft.
 }
 
 // passingRegionSet answers the interpolated shapes from the cached,
-// prefiltered per-polygon inside-interval maps. Ungrouped, an object
-// counts when an interval touches the window (ObjectsPassingThrough's
-// test). Grouped, each interval is clipped to the window and marks
-// the granules from its clipped start's granule while the granule
-// start is <= the clipped end; the total counts objects with a
-// non-empty clipped interval, kept in its own bitset because it is
-// not always the union of the marked granules.
+// prefiltered per-polygon interval columns, scanning only the entries
+// the window reaches. Ungrouped, an object counts when an interval
+// touches the window (ObjectsPassingThrough's test). Grouped, each
+// interval is clipped to the window and marks the granules from its
+// clipped start's granule while the granule start is <= the clipped
+// end; the total counts objects with a non-empty clipped interval,
+// kept in its own bitset because it is not always the union of the
+// marked granules.
 func (e *Engine) passingRegionSet(ctx context.Context, qc *qctl, pgs []geom.Polygon, w timedim.Interval, gr granules) (RegionSetCount, error) {
 	tc, err := e.table(ctx, qc)
 	if err != nil {
@@ -361,55 +365,50 @@ func (e *Engine) passingRegionSet(ctx context.Context, qc *qctl, pgs []geom.Poly
 	sets := make([]uint64, gr.n*words)
 	total := make([]uint64, words)
 	wlo, whi := float64(w.Lo), float64(w.Hi)
+	scanned := 0
+	defer func() { e.metrics().IntervalEntriesScanned.Add(int64(scanned)) }()
 	for _, pg := range pgs {
 		if err := qc.step(ctx); err != nil {
 			return RegionSetCount{}, err
 		}
-		ivmap, err := e.polygonIntervals(ctx, qc, tc, pg)
+		col, err := e.polygonIntervals(ctx, qc, tc, pg)
 		if err != nil {
 			return RegionSetCount{}, err
 		}
-		scanned := 0
-		for oid, ivs := range ivmap {
-			if scanned%checkEvery == 0 {
+		cur := col.window(wlo, whi)
+		for run := cur.next(); run != nil; run = cur.next() {
+			if cur.fresh >= checkEvery {
 				if err := qc.step(ctx); err != nil {
 					return RegionSetCount{}, err
 				}
+				cur.fresh = 0
 			}
-			scanned++
-			o := tc.ordinal(oid)
-			wd, bit := o>>6, uint64(1)<<uint(o&63)
-			if gr.width == 0 {
-				if total[wd]&bit != 0 {
+			for _, en := range run {
+				if gr.width == 0 {
+					if en.hi >= wlo {
+						o := tc.ordinal(en.oid)
+						total[o>>6] |= 1 << uint(o&63)
+					}
 					continue
 				}
-				for _, ti := range ivs {
-					if ti.Lo <= whi && wlo <= ti.Hi {
-						total[wd] |= bit
-						break
-					}
-				}
-				continue
-			}
-			for _, ti := range ivs {
-				lo, hi := ti.Lo, ti.Hi
-				if lo < wlo {
-					lo = wlo
-				}
-				if hi > whi {
-					hi = whi
-				}
+				lo, hi := max(en.lo, wlo), min(en.hi, whi)
 				if hi < lo {
 					continue
 				}
+				o := tc.ordinal(en.oid)
+				wd, bit := o>>6, uint64(1)<<uint(o&63)
 				total[wd] |= bit
-				for b := floorTo(int64(timedim.Instant(lo)), gr.width); float64(b) <= hi; b += gr.width {
-					if k := gr.index(b); k >= 0 {
-						sets[k*words+wd] |= bit
+				// Granule k starts at b; one division finds the clipped
+				// start's, then k steps with b.
+				k := floorDiv(int64(timedim.Instant(lo))-gr.base, gr.width)
+				for b := gr.base + k*gr.width; float64(b) <= hi && k < int64(gr.n); b, k = b+gr.width, k+1 {
+					if k >= 0 {
+						sets[int(k)*words+wd] |= bit
 					}
 				}
 			}
 		}
+		scanned += cur.scanned
 	}
 	return gr.count(sets, words, total), nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mogis/internal/core"
+	"mogis/internal/geom"
 	"mogis/internal/layer"
 	"mogis/internal/obs"
 	"mogis/internal/qerr"
@@ -115,7 +116,9 @@ func TestCountRegionSetBudget(t *testing.T) {
 // FuzzGroupedCount checks CountRegionSet route-independence on a small
 // fixed table: for a random window, granule and polygon subset, the
 // grid route equals the columnar scan (sampled), and the interval
-// cache equals uncached single-worker evaluation (interpolated).
+// cache equals uncached single-worker evaluation and the per-object
+// reference, which shares no code with the interval column
+// (interpolated).
 func FuzzGroupedCount(f *testing.F) {
 	city := workload.GenCity(workload.CityConfig{Seed: 9, Cols: 4, Rows: 4})
 	fm := workload.GenTrajectories(city.Extent, workload.TrajConfig{Seed: 9, Objects: 40, Samples: 90})
@@ -132,6 +135,7 @@ func FuzzGroupedCount(f *testing.F) {
 	span := int64(hi-lo) + 1
 	ids := city.Ln.IDs(layer.KindPolygon)
 	granules := []int64{0, timedim.SecondsPerHour, timedim.SecondsPerDay, 60, 17 * 60, 7}
+	ref := newIntervalRef(f, fm)
 
 	f.Add(uint32(0), uint32(span), uint8(1), uint16(0xffff), true)
 	f.Add(uint32(600), uint32(3600), uint8(1), uint16(0x00f0), false)
@@ -161,6 +165,16 @@ func FuzzGroupedCount(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%+v:\n fast %+v\n slow %+v", q, got, want)
+		}
+		if sampled {
+			return
+		}
+		pgs := make([]geom.Polygon, len(q.IDs))
+		for i, id := range q.IDs {
+			pgs[i], _ = city.Ln.Polygon(id)
+		}
+		if r := ref.count(pgs, q.Window, q.Granule); !reflect.DeepEqual(got, r) {
+			t.Errorf("%+v:\n fast      %+v\n reference %+v", q, got, r)
 		}
 	})
 }

@@ -113,8 +113,9 @@ func sampledAnswers(t *testing.T, v *versionWorkload, q core.Querier, b timedim.
 // — every sampled entry point of the long-lived engine, which answers
 // from an inherited base plus a tail, equals both the grid-off scan and
 // a fresh engine that builds the version's grid from scratch; and after
-// interpolated queries settle them, the carried interval maps equal a
-// from-scratch InsidePolygonIntervals of the version's trajectories.
+// interpolated queries settle them, the carried interval columns equal
+// the columns a fresh engine builds for the version, and their entries
+// a from-scratch InsidePolygonIntervals of the version's trajectories.
 func TestSampleIndexMatchesRebuild(t *testing.T) {
 	var versions, builds int64
 	f := func(seed int64) bool {
@@ -165,11 +166,15 @@ func TestSampleIndexMatchesRebuild(t *testing.T) {
 			}
 
 			// Settle every interval entry of the version, then compare
-			// each with a from-scratch clip.
-			if _, err := v.w.eng.CountRegionSet(ctx, core.RegionSetQuery{
-				Table: "FM", Layer: "Ln", IDs: []layer.Gid{1, 2, 3, 4}, Window: v.w.win,
-			}); err != nil {
-				t.Fatal(err)
+			// each with a column a fresh engine builds from scratch and
+			// with a from-scratch clip.
+			fresh := core.New(v.fctx)
+			for _, e := range []*core.Engine{v.w.eng, fresh} {
+				if _, err := e.CountRegionSet(ctx, core.RegionSetQuery{
+					Table: "FM", Layer: "Ln", IDs: []layer.Gid{1, 2, 3, 4}, Window: v.w.win,
+				}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			lits, err := v.w.eng.Trajectories(ctx, "FM")
 			if err != nil {
@@ -178,11 +183,16 @@ func TestSampleIndexMatchesRebuild(t *testing.T) {
 			ln, _ := v.fctx.GIS().Layer("Ln")
 			for _, id := range []layer.Gid{1, 2, 3, 4} {
 				pg, _ := ln.Polygon(id)
-				m, settled := core.IntervalMap(v.w.eng, "FM", pg)
+				col, settled := core.IntervalColumn(v.w.eng, "FM", pg)
 				if !settled {
 					t.Logf("seed %d step %d: polygon %d's interval entry is not settled", seed, step, id)
 					return false
 				}
+				if want, _ := core.IntervalColumn(fresh, "FM", pg); !reflect.DeepEqual(col, want) {
+					t.Logf("seed %d step %d polygon %d: settled column differs from a fresh build:\n got %+v\nwant %+v", seed, step, id, col, want)
+					return false
+				}
+				m, _ := core.IntervalMap(v.w.eng, "FM", pg)
 				want := map[moft.Oid][]traj.TimeInterval{}
 				for oid, l := range lits {
 					if ivs := l.InsidePolygonIntervals(pg); len(ivs) > 0 {

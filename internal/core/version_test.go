@@ -119,9 +119,10 @@ func answers(t *testing.T, w *robustWorkload, q core.Querier) map[string]any {
 // single-sample objects that grow, repeat-only batches, versions no
 // reader sees — every per-object entry point of the long-lived engine,
 // whose caches derive from the previous version's, answers exactly
-// (reflect.DeepEqual) like a fresh engine on the same version.
+// (reflect.DeepEqual) like a fresh engine on the same version, and each
+// interval column it settled equals the one the fresh engine built.
 func TestDerivedCachesMatchFreshBuild(t *testing.T) {
-	carried := int64(0)
+	carried, columns := int64(0), 0
 	f := func(seed int64) bool {
 		v := newVersionWorkload(t, seed%1000+1)
 		answers(t, v.w, v.w.eng) // the first version's caches
@@ -140,12 +141,23 @@ func TestDerivedCachesMatchFreshBuild(t *testing.T) {
 				continue // a version no reader sees
 			}
 			got := answers(t, v.w, v.w.eng)
-			want := answers(t, v.w, core.New(v.fctx))
+			fresh := core.New(v.fctx)
+			want := answers(t, v.w, fresh)
 			for name, g := range got {
 				if !reflect.DeepEqual(g, want[name]) {
 					t.Logf("seed %d step %d %s:\n got %#v\nwant %#v", seed, step, name, g, want[name])
 					return false
 				}
+			}
+			// Every interval column the fresh engine built, the
+			// long-lived engine has settled to the same column.
+			settled := core.IntervalColumns(v.w.eng, "FM")
+			for key, want := range core.IntervalColumns(fresh, "FM") {
+				if col, ok := settled[key]; !ok || !reflect.DeepEqual(col, want) {
+					t.Logf("seed %d step %d: settled=%v column\n got %+v\nwant %+v", seed, step, ok, col, want)
+					return false
+				}
+				columns++
 			}
 		}
 		carried += v.w.met.IntervalObjectsRecomputed.Value()
@@ -156,6 +168,9 @@ func TestDerivedCachesMatchFreshBuild(t *testing.T) {
 	}
 	if carried == 0 {
 		t.Error("no interval entry was ever carried over to a new version")
+	}
+	if columns == 0 {
+		t.Error("no settled interval column was compared with a fresh build")
 	}
 }
 

@@ -33,6 +33,10 @@ type Metrics struct {
 	// cache: every leg on a miss, only the legs an object gained since
 	// the entry's version when a carried-over entry settles.
 	IntervalLegsClipped *Counter
+	// Interval-column entries the interpolated readers scanned: every
+	// entry of the blocks a query window reaches, up to the first entry
+	// starting after the window.
+	IntervalEntriesScanned *Counter
 
 	// Geometry predicate evaluations.
 	GeomPointInPolygon *Counter
@@ -105,6 +109,7 @@ func NewMetrics(r *Registry) *Metrics {
 		ObjectsInterpolated:       r.Counter("mogis_core_objects_interpolated_total", "object trajectories interpolated by cache builds and derivations"),
 		IntervalObjectsRecomputed: r.Counter("mogis_core_interval_objects_recomputed_total", "per-object inside-intervals recomputed for a carried-over interval entry"),
 		IntervalLegsClipped:       r.Counter("mogis_core_interval_legs_clipped_total", "trajectory legs clipped against a polygon for the interval cache"),
+		IntervalEntriesScanned:    r.Counter("mogis_core_interval_entries_scanned_total", "interval-column entries scanned by interpolated queries"),
 
 		GeomPointInPolygon: r.Counter("mogis_geom_point_in_polygon_total", "point-in-polygon locations evaluated"),
 		GeomClip:           r.Counter("mogis_geom_clip_total", "convex ring clips evaluated"),
