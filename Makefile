@@ -35,9 +35,10 @@ race:
 # that readers of many table versions share as their sealed base, the
 # shared-read index and overlay structures, and the MOFT versions that
 # share object runs (readers of one version while a writer derives the
-# next ones).
+# next ones), the first-order evaluator on one shared model context,
+# and the Piet-QL pipeline's per-query traces under overlapping queries.
 race-engine:
-	$(GO) test -race -count=2 ./internal/core/... ./internal/agggrid/... ./internal/sindex/... ./internal/overlay/... ./internal/moft/...
+	$(GO) test -race -count=2 ./internal/core/... ./internal/agggrid/... ./internal/sindex/... ./internal/overlay/... ./internal/moft/... ./internal/fo/... ./internal/pietql/...
 
 # The telemetry service under the race detector: the collector's
 # windowed histograms and rings, the HTTP exposition handlers reading

@@ -258,9 +258,7 @@ func runExplainRemark1() error {
 	s := scenario.New()
 	tr := obs.NewTracer("remark1")
 	before := obs.Default.Snapshot()
-	s.Ctx.SetTracer(tr)
-	rate, err := s.MotivatingResult()
-	s.Ctx.SetTracer(nil)
+	rate, err := s.MotivatingResult(obs.WithTracer(context.Background(), tr))
 	root := tr.Finish()
 	if err != nil {
 		return err

@@ -42,7 +42,7 @@ func main() {
 	fmt.Println()
 
 	// The aggregation divides |C| by the morning time span (3 hours).
-	rate, err := s.MotivatingResult()
+	rate, err := s.MotivatingResult(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

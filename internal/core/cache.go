@@ -219,7 +219,7 @@ func (tc *tableCache) build(ctx context.Context, e *Engine) error {
 			return tc.derive(ctx, e, p, changed)
 		}
 	}
-	sp := e.mctx.Tracer().Start("interpolate")
+	sp := obs.TracerFrom(ctx).Start("interpolate")
 	defer sp.End()
 	// Interpolate from the columnar snapshot: per-object samples come
 	// from contiguous ranges of the flat T/X/Y arrays instead of
@@ -259,7 +259,7 @@ func (tc *tableCache) build(ctx context.Context, e *Engine) error {
 // their runs, the R-tree is packed again, and every interval entry is
 // carried over with the changed objects pending.
 func (tc *tableCache) derive(ctx context.Context, e *Engine, p *tableCache, changed []moft.Oid) error {
-	sp := e.mctx.Tracer().Start("derive_cache")
+	sp := obs.TracerFrom(ctx).Start("derive_cache")
 	defer sp.End()
 	lits := maps.Clone(p.lits)
 	var added []moft.Oid

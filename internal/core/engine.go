@@ -254,7 +254,7 @@ func (e *Engine) regionC(ctx context.Context, qc *qctl, f fo.Formula, out []fo.V
 	if err := qc.step(ctx); err != nil {
 		return nil, err
 	}
-	rel, err := fo.Eval(e.mctx, f, out)
+	rel, err := fo.Eval(ctx, e.mctx, f, out)
 	if err != nil {
 		return nil, err
 	}
@@ -275,15 +275,15 @@ func (e *Engine) AggregateRegion(ctx context.Context, f fo.Formula, out []fo.Var
 		if err != nil {
 			return nil, err
 		}
-		return e.groupAggregate(rel, fn, measure, groupBy)
+		return e.groupAggregate(ctx, rel, fn, measure, groupBy)
 	})
 }
 
 // groupAggregate applies γ to region C under an aggregate_group span.
 // It is a method of its own because spanend does not look inside the
 // function literal AggregateRegion hands to run.
-func (e *Engine) groupAggregate(rel *fo.Relation, fn olap.AggFunc, measure fo.Var, groupBy []fo.Var) (*olap.AggResult, error) {
-	sp := e.mctx.Tracer().Start("aggregate_group")
+func (e *Engine) groupAggregate(ctx context.Context, rel *fo.Relation, fn olap.AggFunc, measure fo.Var, groupBy []fo.Var) (*olap.AggResult, error) {
+	sp := obs.TracerFrom(ctx).Start("aggregate_group")
 	defer sp.End()
 	res, err := rel.GroupAggregate(fn, measure, groupBy)
 	if err == nil {
@@ -300,7 +300,7 @@ func (e *Engine) CountRegion(ctx context.Context, f fo.Formula, out []fo.Var) (i
 		if err != nil {
 			return 0, err
 		}
-		sp := e.mctx.Tracer().Start("aggregate_count")
+		sp := obs.TracerFrom(ctx).Start("aggregate_count")
 		sp.SetCount("tuples", int64(rel.Len()))
 		sp.End()
 		return rel.Len(), nil
@@ -431,6 +431,9 @@ func (e *Engine) objectsSampledAtScan(ctx context.Context, qc *qctl, tbl *moft.T
 				break
 			}
 		}
+	}
+	if err := qc.addRows(ctx, pending); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -811,6 +814,9 @@ func (e *Engine) objectsSampledInsideScan(ctx context.Context, qc *qctl, tbl *mo
 			}
 		}
 	}
+	if err := qc.addRows(ctx, pending); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
@@ -870,6 +876,9 @@ func (e *Engine) countSamplesScan(ctx context.Context, qc *qctl, tbl *moft.Table
 		if pg.ContainsPoint(geom.Pt(cols.X[r], cols.Y[r])) {
 			n++
 		}
+	}
+	if err := qc.addRows(ctx, scanned%checkEvery); err != nil {
+		return 0, err
 	}
 	return n, nil
 }

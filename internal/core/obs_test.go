@@ -70,9 +70,7 @@ func TestResetCache(t *testing.T) {
 func TestType4SpanStages(t *testing.T) {
 	s := sc(t)
 	tr := obs.NewTracer("query")
-	s.Ctx.SetTracer(tr)
-	n, err := s.Engine.CountRegion(context.Background(), s.MotivatingFormula(), []fo.Var{"o", "t"})
-	s.Ctx.SetTracer(nil)
+	n, err := s.Engine.CountRegion(obs.WithTracer(context.Background(), tr), s.MotivatingFormula(), []fo.Var{"o", "t"})
 	root := tr.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -110,20 +108,19 @@ func BenchmarkRemark1(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			s := scenario.New()
-			if _, err := s.MotivatingResult(); err != nil {
+			ctx := context.Background()
+			if _, err := s.MotivatingResult(ctx); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if traced {
 					tr := obs.NewTracer("remark1")
-					s.Ctx.SetTracer(tr)
-					if _, err := s.MotivatingResult(); err != nil {
+					if _, err := s.MotivatingResult(obs.WithTracer(ctx, tr)); err != nil {
 						b.Fatal(err)
 					}
-					s.Ctx.SetTracer(nil)
 					tr.Finish()
-				} else if _, err := s.MotivatingResult(); err != nil {
+				} else if _, err := s.MotivatingResult(ctx); err != nil {
 					b.Fatal(err)
 				}
 			}

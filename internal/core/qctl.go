@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mogis/internal/moft"
+	"mogis/internal/obs"
 	"mogis/internal/qerr"
 	"mogis/internal/telemetry"
 	"mogis/internal/timedim"
@@ -186,7 +187,7 @@ func run[T any](ctx context.Context, e *Engine, op, table string, typ int, body 
 		if v := recover(); v != nil {
 			err = qerr.NewPanic("core/query", v)
 		}
-		out := e.classify(err)
+		out := e.classify(ctx, err)
 		if !tel.Enabled() {
 			return
 		}
@@ -214,20 +215,20 @@ func run[T any](ctx context.Context, e *Engine, op, table string, typ int, body 
 }
 
 // classify maps a query's final error to the robustness counters and
-// marks the trace, returning its telemetry outcome.
-func (e *Engine) classify(err error) telemetry.Outcome {
+// marks the trace ctx carries, returning its telemetry outcome.
+func (e *Engine) classify(ctx context.Context, err error) telemetry.Outcome {
 	out := telemetry.OutcomeOf(err)
 	met := e.metrics()
 	switch out {
 	case telemetry.OutcomeCancelled:
 		met.QueriesCancelled.Inc()
-		e.mctx.Tracer().Event("cancel")
+		obs.TracerFrom(ctx).Event("cancel")
 	case telemetry.OutcomeBudgetRows:
 		met.BudgetRowsExceeded.Inc()
-		e.mctx.Tracer().Event("budget")
+		obs.TracerFrom(ctx).Event("budget")
 	case telemetry.OutcomeBudgetResults:
 		met.BudgetResultsExceeded.Inc()
-		e.mctx.Tracer().Event("budget")
+		obs.TracerFrom(ctx).Event("budget")
 	case telemetry.OutcomePanic:
 		met.QueryPanics.Inc()
 	}

@@ -9,6 +9,7 @@ import (
 	"mogis/internal/geom"
 	"mogis/internal/layer"
 	"mogis/internal/moft"
+	"mogis/internal/obs"
 	"mogis/internal/timedim"
 )
 
@@ -247,7 +248,7 @@ func (e *Engine) sampledRegionSet(ctx context.Context, qc *qctl, pgs []geom.Poly
 		if ierr != nil {
 			return RegionSetCount{}, ierr
 		}
-		sp := e.mctx.Tracer().Start("regionset_grid")
+		sp := obs.TracerFrom(ctx).Start("regionset_grid")
 		sets, words, err = e.sampledRegionSetGrid(ctx, qc, ix, pgs, w, gr)
 		sp.SetCount("polygons", int64(len(pgs)))
 		sp.SetCount("granules", int64(gr.n))
@@ -301,7 +302,7 @@ func (e *Engine) sampledRegionSetGrid(ctx context.Context, qc *qctl, ix *sampleI
 // polygons only while its object is not yet counted in the row's
 // granule.
 func (e *Engine) sampledRegionSetScan(ctx context.Context, qc *qctl, cols *moft.Columns, pgs []geom.Polygon, w timedim.Interval, gr granules) ([]uint64, int, error) {
-	sp := e.mctx.Tracer().Start("regionset_scan")
+	sp := obs.TracerFrom(ctx).Start("regionset_scan")
 	defer sp.End()
 	boxes := make([]geom.BBox, len(pgs))
 	for i, pg := range pgs {
@@ -338,6 +339,9 @@ func (e *Engine) sampledRegionSetScan(ctx context.Context, qc *qctl, cols *moft.
 			}
 		}
 	}
+	if err := qc.addRows(ctx, pending); err != nil {
+		return nil, 0, err
+	}
 	sp.SetCount("polygons", int64(len(pgs)))
 	sp.SetCount("granules", int64(gr.n))
 	return sets, words, nil
@@ -357,7 +361,7 @@ func (e *Engine) passingRegionSet(ctx context.Context, qc *qctl, pgs []geom.Poly
 	if err != nil {
 		return RegionSetCount{}, err
 	}
-	sp := e.mctx.Tracer().Start("regionset_intervals")
+	sp := obs.TracerFrom(ctx).Start("regionset_intervals")
 	defer sp.End()
 	sp.SetCount("polygons", int64(len(pgs)))
 	sp.SetCount("granules", int64(gr.n))

@@ -125,7 +125,7 @@ func (tc *tableCache) handOn() *sampleBase {
 // buildBase builds a sealed base from a table version: its columnar
 // snapshot and pre-aggregated grid.
 func (e *Engine) buildBase(ctx context.Context, tbl *moft.Table, ver moft.Version) (*sampleBase, error) {
-	sp := e.mctx.Tracer().Start("agggrid_build")
+	sp := obs.TracerFrom(ctx).Start("agggrid_build")
 	defer sp.End()
 	cols, err := tbl.ColumnsCtx(ctx)
 	if err != nil {
@@ -157,7 +157,7 @@ var windowHintOps = []string{"count_samples_inside", "objects_sampled_inside", "
 // rows beyond their base run length (all rows of an object new since
 // the base).
 func (e *Engine) tailIndex(ctx context.Context, b *sampleBase, tbl *moft.Table, changed []moft.Oid) (*sampleIndex, error) {
-	sp := e.mctx.Tracer().Start("sample_tail")
+	sp := obs.TracerFrom(ctx).Start("sample_tail")
 	defer sp.End()
 	cols := b.cols
 	ix := &sampleIndex{base: b, tail: make([]tailRow, 0, tbl.Len()-cols.Len())}

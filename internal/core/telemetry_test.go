@@ -11,9 +11,11 @@ import (
 
 	"mogis/internal/core"
 	"mogis/internal/faultpoint"
+	"mogis/internal/layer"
 	"mogis/internal/obs"
 	"mogis/internal/qerr"
 	"mogis/internal/telemetry"
+	"mogis/internal/timedim"
 )
 
 // telemetryWorkload attaches an isolated collector (own registry, JSONL
@@ -254,6 +256,60 @@ func TestEngineTelemetryPerOpRecords(t *testing.T) {
 	}
 	if got := len(col.Recent(0)); got != 3 {
 		t.Errorf("detached engine still recorded: %d records", got)
+	}
+}
+
+// TestScanRoutesChargeEveryRow: with the grid off, each sampled scan
+// route charges the query's row budget with every row it counts in
+// mogis_moft_tuples_scanned_total, the last partial stride included,
+// so the telemetry record's RowsScanned equals the counter's delta.
+func TestScanRoutesChargeEveryRow(t *testing.T) {
+	w, col, _ := telemetryWorkload(t)
+	w.eng.SetAggGrid(-1)
+	ctx := context.Background()
+	tbl, err := w.eng.Context().Table("FM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := tbl.ObjectTuples(tbl.Objects()[0])[5].T // an instant some object is sampled at
+	narrow := timedim.Interval{Lo: w.mid, Hi: w.mid + 600}
+	cases := []struct {
+		op  string
+		run func() error
+	}{
+		{"count_samples_inside", func() error {
+			_, err := w.eng.CountSamplesInside(ctx, "FM", w.pg, w.win)
+			return err
+		}},
+		{"objects_sampled_inside", func() error {
+			_, err := w.eng.ObjectsSampledInside(ctx, "FM", w.pg, narrow)
+			return err
+		}},
+		{"objects_sampled_at", func() error {
+			_, err := w.eng.ObjectsSampledAt(ctx, "FM", at, w.pg)
+			return err
+		}},
+		{"count_region_set", func() error {
+			q := core.RegionSetQuery{Table: "FM", Layer: "Ln", IDs: []layer.Gid{1, 2, 3, 4}, Window: narrow, SampledOnly: true}
+			_, err := w.eng.CountRegionSet(ctx, q)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.op, func(t *testing.T) {
+			before := w.met.MOFTTuplesScanned.Value()
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+			delta := w.met.MOFTTuplesScanned.Value() - before
+			rec := col.Recent(1)[0]
+			if rec.Op != c.op {
+				t.Fatalf("newest record is %s, want %s", rec.Op, c.op)
+			}
+			if delta == 0 || rec.RowsScanned != delta {
+				t.Errorf("RowsScanned = %d, tuples scanned delta = %d; want equal and nonzero", rec.RowsScanned, delta)
+			}
+		})
 	}
 }
 

@@ -190,16 +190,16 @@ func TestDerivedCacheWork(t *testing.T) {
 	eng.SetMetrics(met)
 	ids := []layer.Gid{1, 2, 3, 4}
 	win := timedim.Interval{Lo: lo, Hi: hi + timedim.SecondsPerHour}
-	query := func() {
+	query := func(ctx context.Context) {
 		t.Helper()
 		for _, sampled := range []bool{false, true} {
 			q := core.RegionSetQuery{Table: "FM", Layer: "Ln", IDs: ids, Window: win, SampledOnly: sampled}
-			if _, err := eng.CountRegionSet(context.Background(), q); err != nil {
+			if _, err := eng.CountRegionSet(ctx, q); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	query()
+	query(context.Background())
 
 	touched := []moft.Oid{3, 9, 17, 33, 60}
 	var batch []moft.Tuple
@@ -221,9 +221,7 @@ func TestDerivedCacheWork(t *testing.T) {
 	legs, builds := met.IntervalLegsClipped.Value(), met.AggGridBuilds.Value()
 	orders := obs.Std.MOFTTimeOrders.Value()
 	tr := obs.NewTracer("derive")
-	fctx.SetTracer(tr)
-	query()
-	fctx.SetTracer(nil)
+	query(obs.WithTracer(context.Background(), tr))
 	root := tr.Finish()
 
 	k := int64(len(touched))
@@ -254,7 +252,7 @@ func TestDerivedCacheWork(t *testing.T) {
 
 	// The version's caches are built: asking again does no work.
 	interp, recomputed = met.ObjectsInterpolated.Value(), met.IntervalObjectsRecomputed.Value()
-	query()
+	query(context.Background())
 	if met.ObjectsInterpolated.Value() != interp || met.IntervalObjectsRecomputed.Value() != recomputed {
 		t.Error("a second reader of the version redid derivation work")
 	}
@@ -286,7 +284,7 @@ func TestDerivedCacheWork(t *testing.T) {
 			base, tail = base+tail, 0
 			compactions++
 		}
-		query()
+		query(context.Background())
 	}
 	if compactions != 1 {
 		t.Fatalf("the batches compacted %d times, want 1", compactions)

@@ -156,7 +156,7 @@ func E4() Report {
 	if err != nil {
 		return Report{ID: "E4", Title: "Remark 1", Body: err.Error()}
 	}
-	rate, err := s.MotivatingResult()
+	rate, err := s.MotivatingResult(qctx())
 	if err != nil {
 		return Report{ID: "E4", Title: "Remark 1", Body: err.Error()}
 	}
@@ -639,14 +639,12 @@ func P8(iters int) Report {
 		for i := 0; i < iters; i++ {
 			if traced {
 				tr := obs.NewTracer("remark1")
-				s.Ctx.SetTracer(tr)
-				_, err := s.MotivatingResult()
-				s.Ctx.SetTracer(nil)
+				_, err := s.MotivatingResult(obs.WithTracer(qctx(), tr))
 				tr.Finish()
 				if err != nil {
 					return 0, err
 				}
-			} else if _, err := s.MotivatingResult(); err != nil {
+			} else if _, err := s.MotivatingResult(qctx()); err != nil {
 				return 0, err
 			}
 		}

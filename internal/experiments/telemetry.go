@@ -31,14 +31,14 @@ func P11(iters int) Report {
 	measure := func() (time.Duration, error) {
 		t0 := time.Now()
 		for i := 0; i < iters; i++ {
-			if _, err := s.MotivatingResult(); err != nil {
+			if _, err := s.MotivatingResult(qctx()); err != nil {
 				return 0, err
 			}
 		}
 		return time.Since(t0), nil
 	}
 	// Warm the trajectory caches outside the measured loops.
-	if _, err := s.MotivatingResult(); err != nil {
+	if _, err := s.MotivatingResult(qctx()); err != nil {
 		return Report{ID: "P11", Title: "telemetry overhead", Body: err.Error()}
 	}
 

@@ -20,6 +20,11 @@ import (
 // formula range-restricted, so the whole query machinery (negation,
 // aggregation, joins with rollup atoms) applies unchanged; the
 // continuous-interval semantics live in the engine (package core).
+//
+// Each evaluation interpolates from the table version it resolves,
+// only the objects it visits (just the bound one when O is bound), and
+// keeps nothing afterwards: the engine's version-owned trajectory
+// cache is the one that outlives a query.
 type InterpFact struct {
 	Table      string
 	Times      []timedim.Instant
@@ -36,10 +41,33 @@ func (a *InterpFact) eval(ctx *Context, envs []*Env, bound varset) ([]*Env, erro
 	if len(a.Times) == 0 {
 		return nil, fmt.Errorf("fo: InterpFact needs at least one instant")
 	}
-	lits, err := ctx.trajectories(a.Table)
+	tbl, err := ctx.Table(a.Table)
 	if err != nil {
 		return nil, err
 	}
+	// lits memoizes this evaluation's trajectories; it dies with the
+	// call, so concurrent evaluations share nothing.
+	lits := make(map[moft.Oid]*traj.LIT)
+	trajectory := func(oid moft.Oid) (*traj.LIT, error) {
+		if l, ok := lits[oid]; ok {
+			return l, nil
+		}
+		tps := tbl.ObjectTuples(oid)
+		if len(tps) == 0 {
+			return nil, nil
+		}
+		s := make(traj.Sample, len(tps))
+		for i, tp := range tps {
+			s[i] = traj.TimePoint{T: tp.T, P: tp.Point()}
+		}
+		l, err := traj.NewLIT(s)
+		if err != nil {
+			return nil, fmt.Errorf("fo: object O%d: %w", oid, err)
+		}
+		lits[oid] = l
+		return l, nil
+	}
+	all := tbl.Objects()
 	var out []*Env
 	for _, env := range envs {
 		emit := func(oid moft.Oid, l *traj.LIT) {
@@ -64,46 +92,20 @@ func (a *InterpFact) eval(ctx *Context, envs []*Env, bound varset) ([]*Env, erro
 				out = append(out, e)
 			}
 		}
+		oids := all
 		if ov, ok := env.resolve(a.O); ok {
-			if l, found := lits[ov.Obj()]; found {
-				emit(ov.Obj(), l)
+			oids = []moft.Oid{ov.Obj()}
+		}
+		for _, oid := range oids {
+			l, err := trajectory(oid)
+			if err != nil {
+				return nil, err
 			}
-			continue
+			if l != nil {
+				emit(oid, l)
+			}
 		}
-		for oid, l := range lits {
-			emit(oid, l)
-		}
 	}
-	return out, nil
-}
-
-// trajectories lazily builds and caches per-object interpolated
-// trajectories for a table.
-func (c *Context) trajectories(table string) (map[moft.Oid]*traj.LIT, error) {
-	if c.lits == nil {
-		c.lits = make(map[string]map[moft.Oid]*traj.LIT)
-	}
-	if cached, ok := c.lits[table]; ok {
-		return cached, nil
-	}
-	tbl, err := c.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[moft.Oid]*traj.LIT)
-	for _, oid := range tbl.Objects() {
-		tps := tbl.ObjectTuples(oid)
-		s := make(traj.Sample, len(tps))
-		for i, tp := range tps {
-			s[i] = traj.TimePoint{T: tp.T, P: tp.Point()}
-		}
-		l, err := traj.NewLIT(s)
-		if err != nil {
-			return nil, fmt.Errorf("fo: object O%d: %w", oid, err)
-		}
-		out[oid] = l
-	}
-	c.lits[table] = out
 	return out, nil
 }
 

@@ -1,6 +1,9 @@
 package fo
 
 import (
+	"context"
+	"reflect"
+	"sync"
 	"testing"
 
 	"mogis/internal/layer"
@@ -18,7 +21,7 @@ func TestInterpFactGeneratesBetweenSamples(t *testing.T) {
 		&PointIn{Layer: "Ln", Kind: layer.KindPolygon, X: V("x"), Y: V("y"), G: V("pg")},
 		&Cmp{L: V("pg"), Op: EQ, R: CGeom(1)}, // Poor
 	)
-	rel, err := Eval(ctx, f, []Var{"o", "x", "y"})
+	rel, err := Eval(context.Background(), ctx, f, []Var{"o", "x", "y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +44,7 @@ func TestInterpFactGrid(t *testing.T) {
 		t.Fatalf("grid = %d instants", len(times))
 	}
 	f := &InterpFact{Table: "FM", Times: times, O: V("o"), T: V("t"), X: V("x"), Y: V("y")}
-	rel, err := Eval(ctx, f, []Var{"o", "t"})
+	rel, err := Eval(context.Background(), ctx, f, []Var{"o", "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +67,7 @@ func TestInterpFactBoundObject(t *testing.T) {
 	ctx := testContext(t)
 	times := Instants(timedim.At(2006, 1, 9, 9, 0), timedim.At(2006, 1, 9, 11, 0), 3600)
 	f := &InterpFact{Table: "FM", Times: times, O: CObj(1), T: V("t"), X: V("x"), Y: V("y")}
-	rel, err := Eval(ctx, f, []Var{"t"})
+	rel, err := Eval(context.Background(), ctx, f, []Var{"t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,20 +76,59 @@ func TestInterpFactBoundObject(t *testing.T) {
 	}
 	// Unknown object yields empty, not error.
 	f2 := &InterpFact{Table: "FM", Times: times, O: CObj(99), T: V("t"), X: V("x"), Y: V("y")}
-	rel, err = Eval(ctx, f2, []Var{"t"})
+	rel, err = Eval(context.Background(), ctx, f2, []Var{"t"})
 	if err != nil || rel.Len() != 0 {
 		t.Errorf("unknown object: %v, %v", rel, err)
+	}
+}
+
+// TestInterpFactConcurrentEval: one InterpFact evaluated by several
+// goroutines on one shared, fresh Context gives each the answer of a
+// serial run (and, under -race, shares no unsynchronized state).
+func TestInterpFactConcurrentEval(t *testing.T) {
+	times := Instants(timedim.At(2006, 1, 9, 9, 0), timedim.At(2006, 1, 9, 11, 0), 15*60)
+	f := &InterpFact{Table: "FM", Times: times, O: V("o"), T: V("t"), X: V("x"), Y: V("y")}
+	out := []Var{"o", "t", "x", "y"}
+
+	shared := testContext(t)
+	const workers = 4
+	rels := make([]*Relation, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rels[i], errs[i] = Eval(context.Background(), shared, f, out)
+		}(i)
+	}
+	wg.Wait()
+
+	want, err := Eval(context.Background(), testContext(t), f, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() == 0 {
+		t.Fatal("serial run produced no tuples")
+	}
+	for i := range rels {
+		if errs[i] != nil {
+			t.Fatalf("goroutine %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(rels[i], want) {
+			t.Errorf("goroutine %d: %v, want %v", i, rels[i], want)
+		}
 	}
 }
 
 func TestInterpFactErrors(t *testing.T) {
 	ctx := testContext(t)
 	f := &InterpFact{Table: "FM", O: V("o"), T: V("t"), X: V("x"), Y: V("y")}
-	if _, err := Eval(ctx, f, []Var{"o"}); err == nil {
+	if _, err := Eval(context.Background(), ctx, f, []Var{"o"}); err == nil {
 		t.Error("empty Times accepted")
 	}
 	f2 := &InterpFact{Table: "nope", Times: []timedim.Instant{0}, O: V("o"), T: V("t"), X: V("x"), Y: V("y")}
-	if _, err := Eval(ctx, f2, []Var{"o"}); err == nil {
+	if _, err := Eval(context.Background(), ctx, f2, []Var{"o"}); err == nil {
 		t.Error("unknown table accepted")
 	}
 }

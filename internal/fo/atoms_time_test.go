@@ -1,6 +1,7 @@
 package fo
 
 import (
+	"context"
 	"testing"
 
 	"mogis/internal/timedim"
@@ -14,7 +15,7 @@ func TestTimeBetween(t *testing.T) {
 		&Fact{Table: "FM", O: V("o"), T: V("t"), X: V("x"), Y: V("y")},
 		&TimeBetween{T: V("t"), Lo: nine, Hi: ten},
 	)
-	rel, err := Eval(ctx, f, []Var{"o", "t"})
+	rel, err := Eval(context.Background(), ctx, f, []Var{"o", "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func TestTimeBetween(t *testing.T) {
 		t.Errorf("window = %v", rel)
 	}
 	// Unbound term is rejected.
-	if _, err := Eval(ctx, &TimeBetween{T: V("t"), Lo: nine, Hi: ten}, []Var{"t"}); err == nil {
+	if _, err := Eval(context.Background(), ctx, &TimeBetween{T: V("t"), Lo: nine, Hi: ten}, []Var{"t"}); err == nil {
 		t.Error("unbound TimeBetween accepted")
 	}
 	// Non-instant term errors.
@@ -31,7 +32,7 @@ func TestTimeBetween(t *testing.T) {
 		&MemberOf{Concept: "neighb", M: V("n")},
 		&TimeBetween{T: V("n"), Lo: nine, Hi: ten},
 	)
-	if _, err := Eval(ctx, bad, []Var{"n"}); err == nil {
+	if _, err := Eval(context.Background(), ctx, bad, []Var{"n"}); err == nil {
 		t.Error("non-instant TimeBetween accepted")
 	}
 }
@@ -44,7 +45,7 @@ func TestHourOfDayBetween(t *testing.T) {
 		&Fact{Table: "FM", O: V("o"), T: V("t"), X: V("x"), Y: V("y")},
 		&HourOfDayBetween{T: V("t"), Lo: 8, Hi: 10},
 	)
-	rel, err := Eval(ctx, f, []Var{"o", "t"})
+	rel, err := Eval(context.Background(), ctx, f, []Var{"o", "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +59,10 @@ func TestHourOfDayBetween(t *testing.T) {
 		&MemberOf{Concept: "neighb", M: V("n")},
 		&HourOfDayBetween{T: V("n"), Lo: 0, Hi: 23},
 	)
-	if _, err := Eval(ctx, bad, []Var{"n"}); err == nil {
+	if _, err := Eval(context.Background(), ctx, bad, []Var{"n"}); err == nil {
 		t.Error("non-instant HourOfDayBetween accepted")
 	}
-	if _, err := Eval(ctx, &HourOfDayBetween{T: V("z"), Lo: 1, Hi: 2}, []Var{"z"}); err == nil {
+	if _, err := Eval(context.Background(), ctx, &HourOfDayBetween{T: V("z"), Lo: 1, Hi: 2}, []Var{"z"}); err == nil {
 		t.Error("unbound HourOfDayBetween accepted")
 	}
 }

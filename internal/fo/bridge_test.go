@@ -1,6 +1,7 @@
 package fo
 
 import (
+	"context"
 	"testing"
 
 	"mogis/internal/olap"
@@ -12,7 +13,7 @@ func TestToFactTable(t *testing.T) {
 	// Region: all samples with neighborhood and hour labels plus the
 	// x coordinate as a measure.
 	f := fo(ctx)
-	rel, err := Eval(ctx, f, []Var{"o", "t", "nb", "h", "x"})
+	rel, err := Eval(context.Background(), ctx, f, []Var{"o", "t", "nb", "h", "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func fo(ctx *Context) Formula {
 
 func TestCountsToFactTable(t *testing.T) {
 	ctx := testContext(t)
-	rel, err := Eval(ctx, fo(ctx), []Var{"o", "t", "nb", "h"})
+	rel, err := Eval(context.Background(), ctx, fo(ctx), []Var{"o", "t", "nb", "h"})
 	if err != nil {
 		t.Fatal(err)
 	}

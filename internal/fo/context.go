@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"mogis/internal/gis"
 	"mogis/internal/moft"
-	"mogis/internal/obs"
 	"mogis/internal/olap"
-	"mogis/internal/traj"
 )
 
 // ConceptBinding links an application concept (e.g. "neighb") to a
@@ -24,20 +21,16 @@ type ConceptBinding struct {
 
 // Context is the model instance formulas evaluate against: the MOFTs,
 // the GIS dimension (layers, α, geometric rollups), and the concept
-// bindings for application attributes.
+// bindings for application attributes. It holds only the model and is
+// shared by every query; per-query state (a trace, a budget, a
+// deadline) travels in the query's context.Context instead.
 type Context struct {
-	// tmu guards tables (and the lits entries AddTable drops): the
-	// server re-registers a table on ingest while queries resolve it.
+	// tmu guards tables: the server re-registers a table on ingest
+	// while queries resolve it.
 	tmu      sync.RWMutex
 	tables   map[string]*moft.Table
 	gisDim   *gis.Dimension
 	concepts map[string]ConceptBinding
-	// lits caches per-table interpolated trajectories for InterpFact.
-	lits map[string]map[moft.Oid]*traj.LIT
-	// tracer, when non-nil, receives one span per evaluation stage of
-	// queries run against this context. Atomic: concurrent servers
-	// attach/detach sampled tracers while other queries evaluate.
-	tracer atomic.Pointer[obs.Tracer]
 }
 
 // NewContext creates a context over a GIS dimension instance.
@@ -49,12 +42,11 @@ func NewContext(g *gis.Dimension) *Context {
 	}
 }
 
-// AddTable registers a moving-object fact table under its name.
-// Re-registering a name drops the cached trajectories for it.
+// AddTable registers a moving-object fact table under its name,
+// replacing any table registered under it before.
 func (c *Context) AddTable(t *moft.Table) *Context {
 	c.tmu.Lock()
 	c.tables[t.Name()] = t
-	delete(c.lits, t.Name())
 	c.tmu.Unlock()
 	return c
 }
@@ -84,28 +76,6 @@ func (c *Context) TableNames() []string {
 
 // GIS returns the GIS dimension instance.
 func (c *Context) GIS() *gis.Dimension { return c.gisDim }
-
-// SetTracer attaches a query trace to the context (nil detaches).
-// Evaluation stages — formula planning, FO evaluation, trajectory
-// interpolation, aggregation — record spans on it. The context holds
-// one tracer at a time; concurrent pipelines should claim it with
-// CompareAndSwapTracer instead of clobbering an in-flight trace.
-func (c *Context) SetTracer(t *obs.Tracer) *Context {
-	c.tracer.Store(t)
-	return c
-}
-
-// CompareAndSwapTracer attaches next only if old is still the current
-// tracer, and reports whether it did. Samplers pass (nil, tr) to claim
-// an idle context and (tr, nil) to release it, so two concurrent
-// sampled queries cannot tear each other's traces.
-func (c *Context) CompareAndSwapTracer(old, next *obs.Tracer) bool {
-	return c.tracer.CompareAndSwap(old, next)
-}
-
-// Tracer returns the attached query trace (nil when tracing is off;
-// nil tracers produce no-op spans).
-func (c *Context) Tracer() *obs.Tracer { return c.tracer.Load() }
 
 // BindConcept registers a concept name.
 func (c *Context) BindConcept(name string, dim *olap.Dimension, level olap.Level) *Context {

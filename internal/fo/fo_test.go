@@ -1,6 +1,7 @@
 package fo
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -86,7 +87,7 @@ func motivating() Formula {
 
 func TestMotivatingQueryRegionC(t *testing.T) {
 	ctx := testContext(t)
-	rel, err := Eval(ctx, motivating(), []Var{"o", "t"})
+	rel, err := Eval(context.Background(), ctx, motivating(), []Var{"o", "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestFreeVars(t *testing.T) {
 
 func TestEvalOutputNotRestricted(t *testing.T) {
 	ctx := testContext(t)
-	_, err := Eval(ctx, motivating(), []Var{"o", "zzz"})
+	_, err := Eval(context.Background(), ctx, motivating(), []Var{"o", "zzz"})
 	var rr *ErrNotRangeRestricted
 	if !errors.As(err, &rr) {
 		t.Errorf("err = %v", err)
@@ -122,7 +123,7 @@ func TestEvalOutputNotRestricted(t *testing.T) {
 func TestFactSelectionPushdown(t *testing.T) {
 	ctx := testContext(t)
 	f := &Fact{Table: "FM", O: CObj(1), T: V("t"), X: V("x"), Y: V("y")}
-	rel, err := Eval(ctx, f, []Var{"t"})
+	rel, err := Eval(context.Background(), ctx, f, []Var{"t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestFactSelectionPushdown(t *testing.T) {
 func TestFactUnknownTable(t *testing.T) {
 	ctx := testContext(t)
 	f := &Fact{Table: "nope", O: V("o"), T: V("t"), X: V("x"), Y: V("y")}
-	if _, err := Eval(ctx, f, []Var{"o"}); err == nil {
+	if _, err := Eval(context.Background(), ctx, f, []Var{"o"}); err == nil {
 		t.Error("expected unknown-table error")
 	}
 }
@@ -146,7 +147,7 @@ func TestPointInDirections(t *testing.T) {
 		&Fact{Table: "FM", O: CObj(2), T: V("t"), X: V("x"), Y: V("y")},
 		&PointIn{Layer: "Ln", Kind: layer.KindPolygon, X: V("x"), Y: V("y"), G: V("pg")},
 	)
-	rel, err := Eval(ctx, f, []Var{"pg"})
+	rel, err := Eval(context.Background(), ctx, f, []Var{"pg"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestPointInDirections(t *testing.T) {
 		&Alpha{Attr: "school", A: CStr("Central"), G: V("sc")},
 		&PointIn{Layer: "Ls", Kind: layer.KindNode, X: V("x"), Y: V("y"), G: V("sc")},
 	)
-	rel, err = Eval(ctx, g, []Var{"x", "y"})
+	rel, err = Eval(context.Background(), ctx, g, []Var{"x", "y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestPointInDirections(t *testing.T) {
 		&Alpha{Attr: "neighb", A: CStr("Poor"), G: V("pg")},
 		&PointIn{Layer: "Ln", Kind: layer.KindPolygon, X: V("x"), Y: V("y"), G: V("pg")},
 	)
-	if _, err := Eval(ctx, h, []Var{"x"}); err == nil {
+	if _, err := Eval(context.Background(), ctx, h, []Var{"x"}); err == nil {
 		t.Error("expected range-restriction error for polygon inverse")
 	}
 }
@@ -178,7 +179,7 @@ func TestPointInDirections(t *testing.T) {
 func TestAlphaDirections(t *testing.T) {
 	ctx := testContext(t)
 	// Enumerate all pairs.
-	rel, err := Eval(ctx, &Alpha{Attr: "neighb", A: V("n"), G: V("g")}, []Var{"n", "g"})
+	rel, err := Eval(context.Background(), ctx, &Alpha{Attr: "neighb", A: V("n"), G: V("g")}, []Var{"n", "g"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestAlphaDirections(t *testing.T) {
 		t.Errorf("alpha enumeration = %v", rel)
 	}
 	// Inverse: geometry bound.
-	rel, err = Eval(ctx, And(
+	rel, err = Eval(context.Background(), ctx, And(
 		&GeomIn{G: V("g"), IDs: []layer.Gid{2}},
 		&Alpha{Attr: "neighb", A: V("n"), G: V("g")},
 	), []Var{"n"})
@@ -200,12 +201,12 @@ func TestAlphaDirections(t *testing.T) {
 		t.Errorf("alpha inverse = %v", rel)
 	}
 	// Unknown member yields empty, not error.
-	rel, err = Eval(ctx, &Alpha{Attr: "neighb", A: CStr("Ghost"), G: V("g")}, []Var{"g"})
+	rel, err = Eval(context.Background(), ctx, &Alpha{Attr: "neighb", A: CStr("Ghost"), G: V("g")}, []Var{"g"})
 	if err != nil || rel.Len() != 0 {
 		t.Errorf("unknown member = %v, %v", rel, err)
 	}
 	// Unknown attribute errors.
-	if _, err := Eval(ctx, &Alpha{Attr: "nope", A: V("n"), G: V("g")}, []Var{"g"}); err == nil {
+	if _, err := Eval(context.Background(), ctx, &Alpha{Attr: "nope", A: V("n"), G: V("g")}, []Var{"g"}); err == nil {
 		t.Error("expected unknown-attribute error")
 	}
 }
@@ -216,7 +217,7 @@ func TestTimeRollupAtom(t *testing.T) {
 		&Fact{Table: "FM", O: V("o"), T: V("t"), X: V("x"), Y: V("y")},
 		&TimeRollup{Cat: timedim.CatDayOfWeek, T: V("t"), V: V("d")},
 	)
-	rel, err := Eval(ctx, f, []Var{"d"})
+	rel, err := Eval(context.Background(), ctx, f, []Var{"d"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestTimeRollupAtom(t *testing.T) {
 		&Fact{Table: "FM", O: V("o"), T: V("t"), X: V("x"), Y: V("y")},
 		&TimeRollup{Cat: "bogus", T: V("t"), V: V("v")},
 	)
-	if _, err := Eval(ctx, bad, []Var{"v"}); err == nil {
+	if _, err := Eval(context.Background(), ctx, bad, []Var{"v"}); err == nil {
 		t.Error("expected unknown-category error")
 	}
 }
@@ -243,7 +244,7 @@ func TestCmpAtom(t *testing.T) {
 		&Fact{Table: "FM", O: V("o"), T: V("t"), X: V("x"), Y: V("y")},
 		&Cmp{L: V("t"), Op: LT, R: CTime(nine)},
 	)
-	rel, err := Eval(ctx, f, []Var{"o", "t"})
+	rel, err := Eval(context.Background(), ctx, f, []Var{"o", "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestCmpAtom(t *testing.T) {
 		&MemberOf{Concept: "neighb", M: V("n")},
 		&Cmp{L: V("n"), Op: EQ, R: CStr("Poor")},
 	)
-	rel, err = Eval(ctx, g, []Var{"n"})
+	rel, err = Eval(context.Background(), ctx, g, []Var{"n"})
 	if err != nil || rel.Len() != 1 {
 		t.Errorf("string EQ = %v, %v", rel, err)
 	}
@@ -265,7 +266,7 @@ func TestCmpAtom(t *testing.T) {
 		&MemberOf{Concept: "neighb", M: V("n")},
 		&Cmp{L: V("n"), Op: LT, R: CReal(5)},
 	)
-	if _, err := Eval(ctx, h, []Var{"n"}); err == nil {
+	if _, err := Eval(context.Background(), ctx, h, []Var{"n"}); err == nil {
 		t.Error("expected incomparable error")
 	}
 }
@@ -299,7 +300,7 @@ func TestDistLE(t *testing.T) {
 		&PointIn{Layer: "Ls", Kind: layer.KindNode, X: V("sx"), Y: V("sy"), G: V("sc")},
 		&DistLE{X1: V("x"), Y1: V("y"), X2: V("sx"), Y2: V("sy"), R: 5},
 	))
-	rel, err := Eval(ctx, f, []Var{"o", "t"})
+	rel, err := Eval(context.Background(), ctx, f, []Var{"o", "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +323,7 @@ func TestNegation(t *testing.T) {
 			&Cmp{L: V("pg1"), Op: EQ, R: CGeom(2)},
 		))),
 	)
-	rel, err := Eval(ctx, f, []Var{"o"})
+	rel, err := Eval(context.Background(), ctx, f, []Var{"o"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +347,7 @@ func TestDisjunction(t *testing.T) {
 		&Fact{Table: "FM", O: V("o"), T: V("t"), X: V("x"), Y: V("y")},
 		&TimeRollup{Cat: timedim.CatTimeOfDay, T: V("t"), V: CStr(timedim.Night)},
 	))
-	rel, err := Eval(ctx, Or(inPoly(1), atNight), []Var{"o"})
+	rel, err := Eval(context.Background(), ctx, Or(inPoly(1), atNight), []Var{"o"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestDisjunction(t *testing.T) {
 		&Fact{Table: "FM", O: V("o"), T: V("t"), X: V("x"), Y: V("y")},
 		&MemberOf{Concept: "neighb", M: V("n")},
 	)
-	if _, err := Eval(ctx, badDisj, []Var{"o"}); err == nil {
+	if _, err := Eval(context.Background(), ctx, badDisj, []Var{"o"}); err == nil {
 		t.Error("expected incompatible-disjuncts error")
 	}
 }
@@ -367,7 +368,7 @@ func TestNotRangeRestrictedConjunction(t *testing.T) {
 	ctx := testContext(t)
 	// A bare comparison over unbound variables can never be scheduled.
 	f := &Cmp{L: V("a"), Op: LT, R: V("b")}
-	_, err := Eval(ctx, f, []Var{"a"})
+	_, err := Eval(context.Background(), ctx, f, []Var{"a"})
 	var rr *ErrNotRangeRestricted
 	if !errors.As(err, &rr) {
 		t.Errorf("err = %v", err)
@@ -381,7 +382,7 @@ func TestGroupAggregate(t *testing.T) {
 	ctx := testContext(t)
 	// Count samples per object.
 	f := &Fact{Table: "FM", O: V("o"), T: V("t"), X: V("x"), Y: V("y")}
-	rel, err := Eval(ctx, f, []Var{"o", "t", "x"})
+	rel, err := Eval(context.Background(), ctx, f, []Var{"o", "t", "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +415,7 @@ func TestGroupAggregate(t *testing.T) {
 
 func TestRelationProjectAndString(t *testing.T) {
 	ctx := testContext(t)
-	rel, err := Eval(ctx, &Fact{Table: "FM", O: V("o"), T: V("t"), X: V("x"), Y: V("y")}, []Var{"o", "t"})
+	rel, err := Eval(context.Background(), ctx, &Fact{Table: "FM", O: V("o"), T: V("t"), X: V("x"), Y: V("y")}, []Var{"o", "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +457,7 @@ func TestValHelpers(t *testing.T) {
 
 func TestTrueFormula(t *testing.T) {
 	ctx := testContext(t)
-	rel, err := Eval(ctx, TrueFormula(), nil)
+	rel, err := Eval(context.Background(), ctx, TrueFormula(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,12 @@
 package fo
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
+	"mogis/internal/obs"
 	"mogis/internal/olap"
 )
 
@@ -30,11 +32,13 @@ func (r *Relation) Col(v Var) (int, error) {
 	return 0, fmt.Errorf("fo: relation has no column %q", v)
 }
 
-// Eval evaluates formula f against ctx with set semantics, returning
-// the relation over the requested output columns (which must be free,
-// range-restricted variables of f).
-func Eval(ctx *Context, f Formula, out []Var) (*Relation, error) {
-	plan := ctx.Tracer().Start("plan")
+// Eval evaluates formula f against the model m with set semantics,
+// returning the relation over the requested output columns (which must
+// be free, range-restricted variables of f). Its plan and fo_eval spans
+// go to the tracer ctx carries (obs.WithTracer), if any.
+func Eval(ctx context.Context, m *Context, f Formula, out []Var) (*Relation, error) {
+	tr := obs.TracerFrom(ctx)
+	plan := tr.Start("plan")
 	bound := varset{}
 	nb, ok := f.binds(bound)
 	if !ok {
@@ -48,9 +52,9 @@ func Eval(ctx *Context, f Formula, out []Var) (*Relation, error) {
 		}
 	}
 	plan.End()
-	sp := ctx.Tracer().Start("fo_eval")
+	sp := tr.Start("fo_eval")
 	defer sp.End()
-	envs, err := f.eval(ctx, []*Env{EmptyEnv}, bound)
+	envs, err := f.eval(m, []*Env{EmptyEnv}, bound)
 	if err != nil {
 		return nil, err
 	}

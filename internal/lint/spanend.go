@@ -51,7 +51,7 @@ func pathTail(path string) string {
 
 // isTracerExpr reports whether e denotes an obs.Tracer under the type
 // checker — a *Tracer variable, field, or the result of an accessor
-// like ctx.Tracer(), regardless of import name.
+// like obs.TracerFrom(ctx), regardless of import name.
 func (p *Package) isTracerExpr(e ast.Expr) bool {
 	return typeIsTail(p.typeOf(e), "obs", "Tracer")
 }

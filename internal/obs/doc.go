@@ -14,10 +14,10 @@
 //     JSON (WriteJSON) or Prometheus text format (WritePrometheus).
 //
 //   - Traces — a Tracer producing nestable spans, one trace per query,
-//     attached to the model context (fo.Context.SetTracer). Spans
-//     record wall time, tuple counts and parent/child structure;
-//     FormatExplain renders a span tree plus counter deltas as the
-//     EXPLAIN ANALYZE output of cmd/pietql.
+//     carried in the query's context.Context (WithTracer, read back
+//     with TracerFrom). Spans record wall time, tuple counts and
+//     parent/child structure; FormatExplain renders a span tree plus
+//     counter deltas as the EXPLAIN ANALYZE output of cmd/pietql.
 //
 // Instrumentation is zero-alloc when disabled: a nil *Tracer returns
 // nil *Span values whose methods are no-ops, and counters are single

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -29,6 +30,29 @@ func NewTracer(name string) *Tracer {
 	t.root = &Span{Name: name, start: time.Now(), tracer: t}
 	t.cur = t.root
 	return t
+}
+
+type tracerKey struct{}
+
+// WithTracer returns a context carrying tr (a nil ctx stands for
+// context.Background()): the query evaluated under it records its
+// spans on tr. The trace is a property of the request, so concurrent
+// queries each carry their own.
+func WithTracer(ctx context.Context, tr *Tracer) context.Context {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return context.WithValue(ctx, tracerKey{}, tr)
+}
+
+// TracerFrom returns the tracer attached by WithTracer, or nil (the
+// disabled, no-op tracer) when ctx is nil or carries none.
+func TracerFrom(ctx context.Context) *Tracer {
+	if ctx == nil {
+		return nil
+	}
+	tr, _ := ctx.Value(tracerKey{}).(*Tracer)
+	return tr
 }
 
 // postFinishStarts counts Start calls on a tracer whose trace already

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync"
@@ -94,9 +95,14 @@ func TestStartAfterFinish(t *testing.T) {
 	}
 }
 
+// budgetKey stands in for the engine's budget value (core.WithBudget),
+// which rides in the same context chain as a trace would.
+type budgetKey struct{}
+
 // TestNilTracerZeroAlloc: the whole point of the nil-tracer disabled
 // state is that instrumented code allocates nothing when tracing is
-// off.
+// off — including looking the (absent) tracer up in the query's
+// context, whatever else that context carries.
 func TestNilTracerZeroAlloc(t *testing.T) {
 	var tr *Tracer
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -109,6 +115,38 @@ func TestNilTracerZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("disabled tracer allocated %.1f times per op, want 0", allocs)
+	}
+
+	dl, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	for name, ctx := range map[string]context.Context{
+		"background":      context.Background(),
+		"deadline+budget": context.WithValue(dl, budgetKey{}, struct{ MaxRows int64 }{1 << 20}),
+	} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			sp := TracerFrom(ctx).Start("stage")
+			sp.SetCount("tuples", 1)
+			sp.End()
+		})
+		if allocs != 0 {
+			t.Errorf("%s: span from an untraced context allocated %.1f times per op, want 0", name, allocs)
+		}
+	}
+}
+
+// TestTracerFromContext: WithTracer attaches a tracer that TracerFrom
+// finds through any later context layers; a context without one (or a
+// nil context) yields the nil, disabled tracer.
+func TestTracerFromContext(t *testing.T) {
+	//nolint:staticcheck // deliberately nil: a nil context is untraced
+	if TracerFrom(nil) != nil || TracerFrom(context.Background()) != nil {
+		t.Fatal("untraced context returned a tracer")
+	}
+	tr := NewTracer("query")
+	ctx, cancel := context.WithCancel(WithTracer(context.Background(), tr))
+	defer cancel()
+	if got := TracerFrom(context.WithValue(ctx, budgetKey{}, 1)); got != tr {
+		t.Fatalf("TracerFrom = %p, want %p", got, tr)
 	}
 }
 

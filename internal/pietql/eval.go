@@ -22,7 +22,9 @@ import (
 // System is everything a Piet-QL query needs: the model context, the
 // per-layer geometry kinds Piet-QL variables range over, optionally a
 // precomputed overlay (Section 5's evaluation strategy), and the MDX
-// cube catalog.
+// cube catalog. A System is shared by concurrent queries and holds no
+// per-query state: a query's trace, budget and deadline travel in the
+// context.Context it runs under.
 type System struct {
 	Ctx *fo.Context
 	// Engine answers the moving-object queries (a *core.Engine, or a
@@ -98,11 +100,11 @@ func (s *System) Run(ctx context.Context, query string) (out *Outcome, err error
 		}
 		return &Outcome{Explain: ExplainPlan(q)}, nil
 	}
-	var tr *obs.Tracer
-	if tel.Enabled() {
-		var restore func()
-		tr, restore = s.sampleTrace(tel)
-		defer restore()
+	// A sampled query carries its own tracer in ctx, so concurrent
+	// sampled queries are each traced, and only with their own spans.
+	tr := tel.MaybeTrace()
+	if tr != nil {
+		ctx = obs.WithTracer(ctx, tr)
 	}
 	q, err := parse(query)
 	if err == nil {
@@ -133,17 +135,17 @@ func stripExplain(query string) (rest string, analyze, ok bool) {
 	return rest, false, true
 }
 
-// RunAnalyze parses and evaluates a query with a trace attached,
-// setting Outcome.Explain to the rendered span tree and the
-// engine-counter deltas the query caused.
+// RunAnalyze parses and evaluates a query with a trace attached to
+// its ctx, setting Outcome.Explain to the rendered span tree and the
+// engine-counter deltas seen while it ran. The span tree is this
+// query's alone; the deltas are read from the process-wide
+// obs.Default, so queries running at the same time show in them too.
 func (s *System) RunAnalyze(ctx context.Context, query string) (*Outcome, error) {
 	start := time.Now()
 	tel := s.telemetry()
 	tr := obs.NewTracer("query")
+	ctx = obs.WithTracer(ctx, tr)
 	before := obs.Default.Snapshot()
-	prev := s.Ctx.Tracer()
-	s.Ctx.SetTracer(tr)
-	defer s.Ctx.SetTracer(prev)
 
 	sp := tr.Start("parse")
 	q, err := parse(query)
@@ -209,7 +211,7 @@ func (s *System) Eval(ctx context.Context, q *Query) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	tr := s.Ctx.Tracer()
+	tr := obs.TracerFrom(ctx)
 	out := &Outcome{}
 	sp := tr.Start("geo")
 	ids, err := s.evalGeo(ctx, q.Geo)
@@ -326,7 +328,7 @@ func (s *System) evalGeo(ctx context.Context, g *GeoQuery) (map[string][]layer.G
 	// Conjunctive evaluation over bindings layer → gid.
 	bindings := []map[string]layer.Gid{{}}
 	for _, p := range g.Where {
-		sp := s.Ctx.Tracer().Start("overlay_lookup")
+		sp := obs.TracerFrom(ctx).Start("overlay_lookup")
 		var err error
 		bindings, err = s.applyPredicate(ctx, bindings, p)
 		sp.SetCount("bindings", int64(len(bindings)))

@@ -3,7 +3,6 @@ package pietql
 import (
 	"time"
 
-	"mogis/internal/obs"
 	"mogis/internal/telemetry"
 )
 
@@ -53,21 +52,4 @@ func moTable(q *Query) string {
 		return ""
 	}
 	return q.MO.Table
-}
-
-// sampleTrace decides whether this Run is traced: a sampled tracer is
-// installed on the model context for the duration of the query and
-// retained afterwards. The model context holds one tracer at a time,
-// so the slot is claimed with a compare-and-swap: if another query is
-// already being traced (concurrent server traffic), this one simply
-// runs unsampled instead of tearing the in-flight trace.
-func (s *System) sampleTrace(tel *telemetry.Collector) (*obs.Tracer, func()) {
-	tr := tel.MaybeTrace()
-	if tr == nil {
-		return nil, func() {}
-	}
-	if !s.Ctx.CompareAndSwapTracer(nil, tr) {
-		return nil, func() {}
-	}
-	return tr, func() { s.Ctx.CompareAndSwapTracer(tr, nil) }
 }

@@ -96,17 +96,31 @@ func TestSystemTelemetryRecords(t *testing.T) {
 
 // TestSystemTelemetryDisabled pins the default: a System with no
 // collector (and no process default) records nothing and does not
-// trace.
+// trace. Its run starts no span on a finished tracer and leaves
+// nothing behind: the next run, with a collector, retains exactly its
+// own trace.
 func TestSystemTelemetryDisabled(t *testing.T) {
 	prev := telemetry.SetDefault(nil)
 	defer telemetry.SetDefault(prev)
+	const postFinish = "mogis_tracer_post_finish_starts_total"
 
 	sys := system(t, false)
+	before := obs.Default.Snapshot().Value(postFinish)
 	if _, err := sys.Run(context.Background(), paperQuery); err != nil {
 		t.Fatal(err)
 	}
-	if tr := sys.Ctx.Tracer(); tr != nil {
-		t.Errorf("disabled run left a tracer attached: %v", tr)
+	if d := obs.Default.Snapshot().Value(postFinish) - before; d != 0 {
+		t.Errorf("%s moved by %g", postFinish, d)
+	}
+
+	col := telemetry.New(telemetry.Config{Registry: obs.NewRegistry(), SampleEvery: 1})
+	sys.Telemetry = col
+	if _, err := sys.Run(context.Background(), paperQuery); err != nil {
+		t.Fatal(err)
+	}
+	traces := col.Traces(false)
+	if len(traces) != 1 || count(traces[0].Root, "geo") != 1 {
+		t.Errorf("retained %d traces after the disabled run, want 1 with one geo span", len(traces))
 	}
 }
 

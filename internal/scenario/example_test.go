@@ -20,7 +20,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rate, err := s.MotivatingResult()
+	rate, err := s.MotivatingResult(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -235,10 +235,10 @@ func (s *Scenario) MotivatingFormula() fo.Formula {
 	))
 }
 
-// MotivatingResult evaluates the motivating query end to end: |C|
-// divided by the morning time span. Remark 1: 4/3.
-func (s *Scenario) MotivatingResult() (float64, error) {
-	n, err := s.Engine.CountRegion(context.Background(), s.MotivatingFormula(), []fo.Var{"o", "t"})
+// MotivatingResult evaluates the motivating query end to end under
+// ctx: |C| divided by the morning time span. Remark 1: 4/3.
+func (s *Scenario) MotivatingResult(ctx context.Context) (float64, error) {
+	n, err := s.Engine.CountRegion(ctx, s.MotivatingFormula(), []fo.Var{"o", "t"})
 	if err != nil {
 		return 0, err
 	}

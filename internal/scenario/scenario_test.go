@@ -136,7 +136,7 @@ func TestRemark1(t *testing.T) {
 	if counts[1] != 3 || counts[2] != 1 {
 		t.Errorf("contributions = %v, want O1:3 O2:1", counts)
 	}
-	got, err := s.MotivatingResult()
+	got, err := s.MotivatingResult(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,8 +47,9 @@ func (t *traceStore) init(recent, slow int) {
 // (every cfg.SampleEvery-th call), nil otherwise. The root span is
 // named "query" — the same canonical root EXPLAIN ANALYZE uses, so
 // retained trees render identically. The caller attaches the tracer
-// for the query's lifetime and hands the finished tree back through
-// RetainTrace. Nil-safe.
+// to the query's own context (obs.WithTracer), so concurrent sampled
+// queries each keep a tree of their own, and hands the finished tree
+// back through RetainTrace. Nil-safe.
 func (c *Collector) MaybeTrace() *obs.Tracer {
 	if c == nil || c.cfg.SampleEvery <= 0 {
 		return nil
