@@ -95,8 +95,10 @@ vet-strict: vet
 
 # Each fuzz target for 10s: point-in-polygon vs the grid-count
 # oracle, the Piet-QL parser's no-panic guarantee, the grouped
-# region-set count's grid route vs its scan route, and MOFT appends
-# (accept/reject rule and rebuilt-table identity).
+# region-set count's grid route vs its scan route (with the
+# ObjectsSampledInside / ObjectsPassingThrough readouts of its
+# one-polygon case), and MOFT appends (accept/reject rule and
+# rebuilt-table identity).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzPointInPolygon -fuzztime=10s ./internal/geom/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/pietql/

@@ -459,10 +459,7 @@ func (e *Engine) polygonIntervals(ctx context.Context, qc *qctl, tc *tableCache,
 		slices.SortFunc(ents, cmpIvEntry)
 		parts[chunk] = ents
 		met.IntervalLegsClipped.Add(legs)
-		if err := qc.addRows(ctx, rows); err != nil {
-			return err
-		}
-		return qc.addResults(int64(len(ents)))
+		return qc.addRows(ctx, rows)
 	})
 	if err != nil {
 		return nil, err

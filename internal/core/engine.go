@@ -19,7 +19,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -141,7 +140,8 @@ func (e *Engine) telemetry() *telemetry.Collector {
 
 // SetWorkers bounds the worker pool of the trajectory query fan-out:
 // 1 forces the serial path, 0 restores the default GOMAXPROCS sizing.
-// Benchmarks use it to sweep worker counts.
+// The one-worker reference engines of bench/check.go and the tests
+// use it.
 func (e *Engine) SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -366,76 +366,18 @@ func (e *Engine) FilterGeometriesByAggregate(ctx context.Context, layerName stri
 
 // --- Type 6: the trajectory as a static object at an instant ---------
 
-// ObjectsSampledAt returns the distinct objects with a sample exactly
-// at instant t whose position lies in pg (the sample-level semantics
-// of query Q4). Grid-accelerated when the pre-aggregated sample grid
-// is enabled (the default); results are identical either way.
+// ObjectsSampledAt returns, ascending, the distinct objects with a
+// sample exactly at instant t whose position lies in pg (the
+// sample-level semantics of query Q4), nil when there are none: the
+// sampled region-set operator over the window [t, t], grid-accelerated
+// when the pre-aggregated sample grid is enabled (the default), with
+// identical results either way.
 //
 //moglint:deterministic
 func (e *Engine) ObjectsSampledAt(ctx context.Context, table string, t timedim.Instant, pg geom.Polygon) ([]moft.Oid, error) {
 	return run(ctx, e, "objects_sampled_at", table, 6, func(ctx context.Context, qc *qctl) ([]moft.Oid, error) {
-		tbl, err := qc.table()
-		if err != nil {
-			return nil, err
-		}
-		if e.gridEnabled() {
-			ix, err := e.samples(ctx, qc)
-			if err != nil {
-				return nil, err
-			}
-			if err := qc.step(ctx); err != nil {
-				return nil, err
-			}
-			out, gst := ix.objects(pg, int64(t), int64(t), e.metrics())
-			if err := qc.addRows(ctx, gst.Rows); err != nil {
-				return nil, err
-			}
-			if err := qc.addResults(int64(len(out))); err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
-		return e.objectsSampledAtScan(ctx, qc, tbl, t, pg)
+		return e.objectsIn(ctx, qc, pg, timedim.Interval{Lo: t, Hi: t}, true)
 	})
-}
-
-// objectsSampledAtScan is the unaccelerated ObjectsSampledAt: a
-// columnar scan with per-object binary search on the instant.
-func (e *Engine) objectsSampledAtScan(ctx context.Context, qc *qctl, tbl *moft.Table, t timedim.Instant, pg geom.Polygon) ([]moft.Oid, error) {
-	cols, err := tbl.ColumnsCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	tt := int64(t)
-	var out []moft.Oid
-	scanned, pending := int64(0), int64(0)
-	defer func() { e.metrics().MOFTTuplesScanned.Add(scanned + pending) }()
-	for i := 0; i < cols.NumObjects(); i++ {
-		if i%256 == 255 || pending >= checkEvery {
-			scanned += pending
-			if err := qc.addRows(ctx, pending); err != nil {
-				return nil, err
-			}
-			pending = 0
-		}
-		lo, hi := cols.ObjectRange(i)
-		ts := cols.T[lo:hi]
-		j := sort.Search(len(ts), func(k int) bool { return ts[k] >= tt })
-		for ; j < len(ts) && ts[j] == tt; j++ {
-			pending++
-			if pg.ContainsPoint(geom.Pt(cols.X[lo+j], cols.Y[lo+j])) {
-				out = append(out, cols.Oids[i])
-				if err := qc.addResults(1); err != nil {
-					return nil, err
-				}
-				break
-			}
-		}
-	}
-	if err := qc.addRows(ctx, pending); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // ObjectsInterpolatedAt returns the objects whose interpolated
@@ -655,10 +597,11 @@ func (e *Engine) CacheStats() (tables, objects int) {
 	return tables, objects
 }
 
-// ObjectsPassingThrough returns the objects whose interpolated
-// trajectory intersects pg at some time in iv (interpolation-aware
-// semantics; the paper's O6 counts here even though it was never
-// sampled inside).
+// ObjectsPassingThrough returns, ascending, the objects whose
+// interpolated trajectory intersects pg at some time in iv
+// (interpolation-aware semantics; the paper's O6 counts here even
+// though it was never sampled inside), nil when there are none: the
+// interpolated region-set operator over one polygon.
 //
 //moglint:deterministic
 func (e *Engine) ObjectsPassingThrough(ctx context.Context, table string, pg geom.Polygon, iv timedim.Interval) ([]moft.Oid, error) {
@@ -688,58 +631,16 @@ func (e *Engine) objectsPassingThrough(ctx context.Context, qc *qctl, pg geom.Po
 			return nil, nil
 		}
 	}
-	return e.objectsPassingThroughFull(ctx, qc, pg, iv)
+	return e.objectsIn(ctx, qc, pg, iv, false)
 }
 
-// objectsPassingThroughFull is ObjectsPassingThrough past the temporal
-// prefilter: the entries of the interval column that touch the query
-// window, marked in an ordinal bitset read out in ascending oid order.
-func (e *Engine) objectsPassingThroughFull(ctx context.Context, qc *qctl, pg geom.Polygon, iv timedim.Interval) ([]moft.Oid, error) {
-	tc, err := e.table(ctx, qc)
-	if err != nil {
-		return nil, err
-	}
-	col, err := e.polygonIntervals(ctx, qc, tc, pg)
-	if err != nil {
-		return nil, err
-	}
-	set := make([]uint64, (len(tc.oids)+63)/64)
-	wlo, whi := float64(iv.Lo), float64(iv.Hi)
-	cur := col.window(wlo, whi)
-	defer func() { e.metrics().IntervalEntriesScanned.Add(int64(cur.scanned)) }()
-	for run := cur.next(); run != nil; run = cur.next() {
-		if cur.fresh >= checkEvery {
-			if err := qc.step(ctx); err != nil {
-				return nil, err
-			}
-			cur.fresh = 0
-		}
-		for _, en := range run {
-			if en.hi >= wlo {
-				o := tc.ordinal(en.oid)
-				set[o>>6] |= 1 << uint(o&63)
-			}
-		}
-	}
-	var out []moft.Oid
-	for wd, w := range set {
-		if wd%checkEvery == 0 {
-			if err := qc.step(ctx); err != nil {
-				return nil, err
-			}
-		}
-		for ; w != 0; w &= w - 1 {
-			out = append(out, tc.oids[wd<<6+bits.TrailingZeros64(w)])
-		}
-	}
-	return out, nil
-}
-
-// ObjectsSampledInside returns the objects with at least one raw
-// sample in pg during iv (the sample-only counterpart of
-// ObjectsPassingThrough; the two differ exactly on objects like O6).
-// Grid-accelerated when the pre-aggregated sample grid is enabled
-// (the default); results are identical either way.
+// ObjectsSampledInside returns, ascending, the objects with at least
+// one raw sample in pg during iv (the sample-only counterpart of
+// ObjectsPassingThrough; the two differ exactly on objects like O6),
+// an empty non-nil slice when there are none: the sampled region-set
+// operator over one polygon, grid-accelerated when the pre-aggregated
+// sample grid is enabled (the default), with identical results either
+// way.
 //
 //moglint:deterministic
 func (e *Engine) ObjectsSampledInside(ctx context.Context, table string, pg geom.Polygon, iv timedim.Interval) ([]moft.Oid, error) {
@@ -752,72 +653,11 @@ func (e *Engine) ObjectsSampledInside(ctx context.Context, table string, pg geom
 // objectsSampledInside is ObjectsSampledInside inside an already open
 // bracket.
 func (e *Engine) objectsSampledInside(ctx context.Context, qc *qctl, pg geom.Polygon, iv timedim.Interval) ([]moft.Oid, error) {
-	tbl, err := qc.table()
-	if err != nil {
-		return nil, err
+	out, err := e.objectsIn(ctx, qc, pg, iv, true)
+	if out == nil && err == nil {
+		out = []moft.Oid{}
 	}
-	if e.gridEnabled() {
-		ix, err := e.samples(ctx, qc)
-		if err != nil {
-			return nil, err
-		}
-		if err := qc.step(ctx); err != nil {
-			return nil, err
-		}
-		out, gst := ix.objects(pg, int64(iv.Lo), int64(iv.Hi), e.metrics())
-		if err := qc.addRows(ctx, gst.Rows); err != nil {
-			return nil, err
-		}
-		if err := qc.addResults(int64(len(out))); err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = []moft.Oid{}
-		}
-		return out, nil
-	}
-	return e.objectsSampledInsideScan(ctx, qc, tbl, pg, iv)
-}
-
-// objectsSampledInsideScan is the unaccelerated ObjectsSampledInside:
-// one pass over the columnar arrays, short-circuiting each object at
-// its first in-window in-polygon sample.
-func (e *Engine) objectsSampledInsideScan(ctx context.Context, qc *qctl, tbl *moft.Table, pg geom.Polygon, iv timedim.Interval) ([]moft.Oid, error) {
-	cols, err := tbl.ColumnsCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := int64(iv.Lo), int64(iv.Hi)
-	out := make([]moft.Oid, 0)
-	scanned, pending := int64(0), int64(0)
-	defer func() { e.metrics().MOFTTuplesScanned.Add(scanned + pending) }()
-	for i := 0; i < cols.NumObjects(); i++ {
-		rlo, rhi := cols.ObjectRange(i)
-		for r := rlo; r < rhi; r++ {
-			if pending >= checkEvery {
-				scanned += pending
-				if err := qc.addRows(ctx, pending); err != nil {
-					return nil, err
-				}
-				pending = 0
-			}
-			if cols.T[r] < lo || cols.T[r] > hi {
-				continue
-			}
-			pending++
-			if pg.ContainsPoint(geom.Pt(cols.X[r], cols.Y[r])) {
-				out = append(out, cols.Oids[i])
-				if err := qc.addResults(1); err != nil {
-					return nil, err
-				}
-				break
-			}
-		}
-	}
-	if err := qc.addRows(ctx, pending); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }
 
 // CountSamplesInside returns the number of MOFT samples positioned
@@ -852,35 +692,21 @@ func (e *Engine) CountSamplesInside(ctx context.Context, table string, pg geom.P
 	})
 }
 
-// countSamplesScan is the unaccelerated CountSamplesInside: a full
-// columnar scan with a per-sample point-in-polygon test.
+// countSamplesScan is the unaccelerated CountSamplesInside: the
+// grid-off scan of the window's rows with a per-sample
+// point-in-polygon test.
 func (e *Engine) countSamplesScan(ctx context.Context, qc *qctl, tbl *moft.Table, pg geom.Polygon, iv timedim.Interval) (int, error) {
 	cols, err := tbl.ColumnsCtx(ctx)
 	if err != nil {
 		return 0, err
 	}
-	lo, hi := int64(iv.Lo), int64(iv.Hi)
-	n := 0
-	scanned := int64(0)
-	defer func() { e.metrics().MOFTTuplesScanned.Add(scanned) }()
-	for r := 0; r < cols.Len(); r++ {
-		scanned++
-		if scanned%checkEvery == 0 {
-			if err := qc.addRows(ctx, checkEvery); err != nil {
-				return 0, err
-			}
-		}
-		if cols.T[r] < lo || cols.T[r] > hi {
-			continue
-		}
-		if pg.ContainsPoint(geom.Pt(cols.X[r], cols.Y[r])) {
+	box, n := pg.BBox(), 0
+	err = e.scanWindow(ctx, qc, cols, iv, func(_, r int) {
+		if p := geom.Pt(cols.X[r], cols.Y[r]); box.ContainsPoint(p) && pg.ContainsPoint(p) {
 			n++
 		}
-	}
-	if err := qc.addRows(ctx, scanned%checkEvery); err != nil {
-		return 0, err
-	}
-	return n, nil
+	})
+	return n, err
 }
 
 // clampTotal intersects the intervals with the query window [lo, hi]
@@ -943,7 +769,7 @@ func (e *Engine) TimeSpentInside(ctx context.Context, table string, pg geom.Poly
 				}
 			}
 		}
-		return out, nil
+		return out, qc.addResults(int64(len(out)))
 	})
 }
 

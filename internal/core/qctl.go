@@ -36,9 +36,10 @@ type Budget struct {
 	// MaxRows caps the MOFT rows / trajectory samples the query may
 	// examine (0 = unlimited).
 	MaxRows int64
-	// MaxResults caps the result items the query may produce — result
-	// intervals for the trajectory paths, matched objects for scans
-	// (0 = unlimited).
+	// MaxResults caps the items of the query's answer — its objects,
+	// or the tuples of a region C (0 = unlimited). It is charged from
+	// the answer, never from intermediate structures, so whether a
+	// cache was warm does not change which queries it aborts.
 	MaxResults int64
 	// Timeout, when positive, is a wall-clock deadline applied at
 	// query entry via context.WithTimeout (composes with any deadline

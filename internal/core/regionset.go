@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"mogis/internal/geom"
@@ -29,7 +30,9 @@ import (
 //
 // A granule's count is its popcount; the total is the popcount of the
 // union (interpolated grouped totals keep their own bitset, see
-// passingRegionSet).
+// passingRegionSet). The object-set queries (ObjectsSampledAt,
+// ObjectsSampledInside, ObjectsPassingThrough) are the ungrouped,
+// one-polygon case, read out as oids instead of counted.
 
 // RegionSetQuery describes the moving-objects part of a Piet-QL query,
 // `MOVING COUNT(*) FROM <Table> WHERE PASSES THROUGH layer.<Layer>
@@ -107,10 +110,11 @@ func (e *Engine) countRegionSet(ctx context.Context, qc *qctl, q RegionSetQuery)
 		}
 		gr = groupedGranules(q.Window, gr.width, tbl)
 	}
-	if q.SampledOnly {
-		return e.sampledRegionSet(ctx, qc, pgs, q.Window, gr)
+	s, err := e.regionSet(ctx, qc, pgs, q.Window, gr, q.SampledOnly)
+	if err != nil {
+		return RegionSetCount{}, err
 	}
-	return e.passingRegionSet(ctx, qc, pgs, q.Window, gr)
+	return s.count(), nil
 }
 
 // regionPolygons resolves a region set's polygon ids.
@@ -201,23 +205,48 @@ func (gr granules) window(k int, w timedim.Interval) (lo, hi int64) {
 	return lo, hi
 }
 
-// count turns per-granule object bitsets (n blocks of words words)
-// into the answer. total, when nil, is the union of the granules.
-func (gr granules) count(sets []uint64, words int, total []uint64) RegionSetCount {
-	if total == nil {
-		total = make([]uint64, words)
-		for k := 0; k < gr.n; k++ {
-			for w, b := range sets[k*words : (k+1)*words] {
-				total[w] |= b
+// objectSets is a region-set operator's answer before its readout:
+// one object bitset per granule, the bitset of the objects over the
+// whole window, and the objects the bitset ordinals name.
+type objectSets struct {
+	gr    granules
+	words int
+	// sets holds gr.n blocks of words words, one per granule; total
+	// holds the objects over the whole window.
+	sets, total []uint64
+	// Ordinal o < len(oids) names oids[o]; the ordinals after them
+	// name added in order: the sample index's objects new since its
+	// base.
+	oids, added []moft.Oid
+}
+
+// seal charges the window's objects to the result budget: once, from
+// the answer, whichever route and cache state produced it. An operator
+// that kept no total bitset takes the union of its granules.
+func (s *objectSets) seal(qc *qctl) error {
+	if s.total == nil {
+		s.total = s.sets
+		if s.gr.n > 1 {
+			s.total = make([]uint64, s.words)
+			for k := 0; k < s.gr.n; k++ {
+				for w, b := range s.sets[k*s.words : (k+1)*s.words] {
+					s.total[w] |= b
+				}
 			}
 		}
 	}
-	res := RegionSetCount{Total: popcount(total)}
+	return qc.addResults(int64(popcount(s.total)))
+}
+
+// count reads the sets out as a CountRegionSet answer.
+func (s *objectSets) count() RegionSetCount {
+	res := RegionSetCount{Total: popcount(s.total)}
+	gr := s.gr
 	if gr.width == 0 {
 		return res
 	}
 	for k := 0; k < gr.n; k++ {
-		if c := popcount(sets[k*words : (k+1)*words]); c > 0 {
+		if c := popcount(s.sets[k*s.words : (k+1)*s.words]); c > 0 {
 			res.Granules = append(res.Granules, GranuleCount{
 				Start:   timedim.Instant(gr.base + int64(k)*gr.width),
 				Objects: c,
@@ -225,6 +254,32 @@ func (gr granules) count(sets []uint64, words int, total []uint64) RegionSetCoun
 		}
 	}
 	return res
+}
+
+// objects reads the window's object set out as ascending oids, nil
+// when it is empty. Only a readout naming an added object sorts.
+func (s *objectSets) objects(ctx context.Context, qc *qctl) ([]moft.Oid, error) {
+	var out []moft.Oid
+	added := false
+	for wd, w := range s.total {
+		if wd%checkEvery == 0 {
+			if err := qc.step(ctx); err != nil {
+				return nil, err
+			}
+		}
+		for ; w != 0; w &= w - 1 {
+			if o := wd<<6 + bits.TrailingZeros64(w); o < len(s.oids) {
+				out = append(out, s.oids[o])
+			} else {
+				out = append(out, s.added[o-len(s.oids)])
+				added = true
+			}
+		}
+	}
+	if added {
+		slices.Sort(out)
+	}
+	return out, nil
 }
 
 func popcount(set []uint64) int {
@@ -235,46 +290,67 @@ func popcount(set []uint64) int {
 	return n
 }
 
-// sampledRegionSet answers the sampled shapes: one bitset per granule,
+// regionSet runs the region-set operator of the semantics asked for.
+func (e *Engine) regionSet(ctx context.Context, qc *qctl, pgs []geom.Polygon, w timedim.Interval, gr granules, sampled bool) (*objectSets, error) {
+	if sampled {
+		return e.sampledRegionSet(ctx, qc, pgs, w, gr)
+	}
+	return e.passingRegionSet(ctx, qc, pgs, w, gr)
+}
+
+// objectsIn answers the object-set queries as the ungrouped,
+// one-polygon case of a region-set operator: the objects with a sample
+// inside pg during w (sampled), else those whose interpolated
+// trajectory passes through it, ascending, nil when there are none.
+func (e *Engine) objectsIn(ctx context.Context, qc *qctl, pg geom.Polygon, w timedim.Interval, sampled bool) ([]moft.Oid, error) {
+	s, err := e.regionSet(ctx, qc, []geom.Polygon{pg}, w, granules{n: 1}, sampled)
+	if err != nil {
+		return nil, err
+	}
+	return s.objects(ctx, qc)
+}
+
+// sampledRegionSet is the sampled operator: one bitset per granule,
 // filled from the sample index (one grid ObjectsSampledInto per
 // granule × polygon, then one pass over the tail) or, with the grid
 // disabled, by the columnar scan.
-func (e *Engine) sampledRegionSet(ctx context.Context, qc *qctl, pgs []geom.Polygon, w timedim.Interval, gr granules) (RegionSetCount, error) {
-	var sets []uint64
-	var words int
-	var err error
+func (e *Engine) sampledRegionSet(ctx context.Context, qc *qctl, pgs []geom.Polygon, w timedim.Interval, gr granules) (*objectSets, error) {
+	s := &objectSets{gr: gr}
 	if e.gridEnabled() {
-		ix, ierr := e.samples(ctx, qc)
-		if ierr != nil {
-			return RegionSetCount{}, ierr
+		ix, err := e.samples(ctx, qc)
+		if err != nil {
+			return nil, err
 		}
+		s.words, s.oids, s.added = ix.words, ix.base.cols.Oids, ix.newOids
 		sp := obs.TracerFrom(ctx).Start("regionset_grid")
-		sets, words, err = e.sampledRegionSetGrid(ctx, qc, ix, pgs, w, gr)
+		s.sets, err = e.sampledRegionSetGrid(ctx, qc, ix, pgs, w, gr)
 		sp.SetCount("polygons", int64(len(pgs)))
 		sp.SetCount("granules", int64(gr.n))
 		sp.SetCount("tail_rows", int64(len(ix.tail)))
 		sp.End()
+		if err != nil {
+			return nil, err
+		}
 	} else {
-		tbl, terr := qc.table()
-		if terr != nil {
-			return RegionSetCount{}, terr
+		tbl, err := qc.table()
+		if err != nil {
+			return nil, err
 		}
-		cols, cerr := tbl.ColumnsCtx(ctx)
-		if cerr != nil {
-			return RegionSetCount{}, cerr
+		cols, err := tbl.ColumnsCtx(ctx)
+		if err != nil {
+			return nil, err
 		}
-		sets, words, err = e.sampledRegionSetScan(ctx, qc, cols, pgs, w, gr)
+		s.words, s.oids = (cols.NumObjects()+63)/64, cols.Oids
+		if s.sets, err = e.sampledRegionSetScan(ctx, qc, cols, pgs, w, gr); err != nil {
+			return nil, err
+		}
 	}
-	if err != nil {
-		return RegionSetCount{}, err
-	}
-	res := gr.count(sets, words, nil)
-	return res, qc.addResults(int64(res.Total))
+	return s, s.seal(qc)
 }
 
 // sampledRegionSetGrid ORs every polygon's grid answer for each
 // granule's window into that granule's bitset, then the tail's.
-func (e *Engine) sampledRegionSetGrid(ctx context.Context, qc *qctl, ix *sampleIndex, pgs []geom.Polygon, w timedim.Interval, gr granules) ([]uint64, int, error) {
+func (e *Engine) sampledRegionSetGrid(ctx context.Context, qc *qctl, ix *sampleIndex, pgs []geom.Polygon, w timedim.Interval, gr granules) ([]uint64, error) {
 	met := e.metrics()
 	g, words := ix.base.grid, ix.words
 	sets := make([]uint64, gr.n*words)
@@ -283,107 +359,117 @@ func (e *Engine) sampledRegionSetGrid(ctx context.Context, qc *qctl, ix *sampleI
 		set := sets[k*words : (k+1)*words]
 		for _, pg := range pgs {
 			if err := qc.step(ctx); err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			st := g.ObjectsSampledInto(pg, lo, hi, set, met)
 			if err := qc.addRows(ctx, st.Rows); err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 		}
 	}
 	if err := qc.addRows(ctx, ix.tailRegionSet(pgs, w, gr, sets)); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return sets, words, nil
+	return sets, nil
 }
 
 // sampledRegionSetScan is the unaccelerated sampled route: one pass
 // over each object's in-window rows, testing a row against the
 // polygons only while its object is not yet counted in the row's
 // granule.
-func (e *Engine) sampledRegionSetScan(ctx context.Context, qc *qctl, cols *moft.Columns, pgs []geom.Polygon, w timedim.Interval, gr granules) ([]uint64, int, error) {
+func (e *Engine) sampledRegionSetScan(ctx context.Context, qc *qctl, cols *moft.Columns, pgs []geom.Polygon, w timedim.Interval, gr granules) ([]uint64, error) {
 	sp := obs.TracerFrom(ctx).Start("regionset_scan")
 	defer sp.End()
+	sp.SetCount("polygons", int64(len(pgs)))
+	sp.SetCount("granules", int64(gr.n))
 	boxes := make([]geom.BBox, len(pgs))
 	for i, pg := range pgs {
 		boxes[i] = pg.BBox()
 	}
 	words := (cols.NumObjects() + 63) / 64
 	sets := make([]uint64, gr.n*words)
+	err := e.scanWindow(ctx, qc, cols, w, func(i, r int) {
+		k := gr.index(cols.T[r])
+		wd, bit := i>>6, uint64(1)<<uint(i&63)
+		if k < 0 || sets[k*words+wd]&bit != 0 {
+			return
+		}
+		p := geom.Pt(cols.X[r], cols.Y[r])
+		for j, pg := range pgs {
+			if boxes[j].ContainsPoint(p) && pg.ContainsPoint(p) {
+				sets[k*words+wd] |= bit
+				return
+			}
+		}
+	})
+	return sets, err
+}
+
+// scanWindow is the grid-off sample scan: it visits, object by object,
+// every row with instant in w — found by binary search in each
+// object's time-ordered run — and charges each to the row budget and
+// the tuples-scanned counter.
+func (e *Engine) scanWindow(ctx context.Context, qc *qctl, cols *moft.Columns, w timedim.Interval, visit func(obj, row int)) error {
 	lo, hi := int64(w.Lo), int64(w.Hi)
 	scanned, pending := int64(0), int64(0)
 	defer func() { e.metrics().MOFTTuplesScanned.Add(scanned + pending) }()
 	for i := 0; i < cols.NumObjects(); i++ {
 		rlo, rhi := cols.ObjectRange(i)
 		ts := cols.T[rlo:rhi]
-		wd, bit := i>>6, uint64(1)<<uint(i&63)
 		for r := rlo + sort.Search(len(ts), func(j int) bool { return ts[j] >= lo }); r < rhi && cols.T[r] <= hi; r++ {
 			if pending >= checkEvery {
 				scanned += pending
 				if err := qc.addRows(ctx, pending); err != nil {
-					return nil, 0, err
+					return err
 				}
 				pending = 0
 			}
 			pending++
-			k := gr.index(cols.T[r])
-			if k < 0 || sets[k*words+wd]&bit != 0 {
-				continue
-			}
-			p := geom.Pt(cols.X[r], cols.Y[r])
-			for j, pg := range pgs {
-				if boxes[j].ContainsPoint(p) && pg.ContainsPoint(p) {
-					sets[k*words+wd] |= bit
-					break
-				}
-			}
+			visit(i, r)
 		}
 	}
-	if err := qc.addRows(ctx, pending); err != nil {
-		return nil, 0, err
-	}
-	sp.SetCount("polygons", int64(len(pgs)))
-	sp.SetCount("granules", int64(gr.n))
-	return sets, words, nil
+	return qc.addRows(ctx, pending)
 }
 
-// passingRegionSet answers the interpolated shapes from the cached,
-// prefiltered per-polygon interval columns, scanning only the entries
-// the window reaches. Ungrouped, an object counts when an interval
-// touches the window (ObjectsPassingThrough's test). Grouped, each
-// interval is clipped to the window and marks the granules from its
-// clipped start's granule while the granule start is <= the clipped
-// end; the total counts objects with a non-empty clipped interval,
-// kept in its own bitset because it is not always the union of the
-// marked granules.
-func (e *Engine) passingRegionSet(ctx context.Context, qc *qctl, pgs []geom.Polygon, w timedim.Interval, gr granules) (RegionSetCount, error) {
+// passingRegionSet is the interpolated operator, answered from the
+// cached, prefiltered per-polygon interval columns, scanning only the
+// entries the window reaches. Ungrouped, an object counts when an
+// interval touches the window. Grouped, each interval is clipped to
+// the window and marks the granules from its clipped start's granule
+// while the granule start is <= the clipped end; the total holds
+// objects with a non-empty clipped interval, in its own bitset because
+// it is not always the union of the marked granules.
+func (e *Engine) passingRegionSet(ctx context.Context, qc *qctl, pgs []geom.Polygon, w timedim.Interval, gr granules) (*objectSets, error) {
 	tc, err := e.table(ctx, qc)
 	if err != nil {
-		return RegionSetCount{}, err
+		return nil, err
 	}
 	sp := obs.TracerFrom(ctx).Start("regionset_intervals")
 	defer sp.End()
 	sp.SetCount("polygons", int64(len(pgs)))
 	sp.SetCount("granules", int64(gr.n))
 	words := (len(tc.oids) + 63) / 64
-	sets := make([]uint64, gr.n*words)
 	total := make([]uint64, words)
+	s := &objectSets{gr: gr, words: words, sets: total, total: total, oids: tc.oids}
+	if gr.width > 0 {
+		s.sets = make([]uint64, gr.n*words)
+	}
 	wlo, whi := float64(w.Lo), float64(w.Hi)
 	scanned := 0
 	defer func() { e.metrics().IntervalEntriesScanned.Add(int64(scanned)) }()
 	for _, pg := range pgs {
 		if err := qc.step(ctx); err != nil {
-			return RegionSetCount{}, err
+			return nil, err
 		}
 		col, err := e.polygonIntervals(ctx, qc, tc, pg)
 		if err != nil {
-			return RegionSetCount{}, err
+			return nil, err
 		}
 		cur := col.window(wlo, whi)
 		for run := cur.next(); run != nil; run = cur.next() {
 			if cur.fresh >= checkEvery {
 				if err := qc.step(ctx); err != nil {
-					return RegionSetCount{}, err
+					return nil, err
 				}
 				cur.fresh = 0
 			}
@@ -407,12 +493,12 @@ func (e *Engine) passingRegionSet(ctx context.Context, qc *qctl, pgs []geom.Poly
 				k := floorDiv(int64(timedim.Instant(lo))-gr.base, gr.width)
 				for b := gr.base + k*gr.width; float64(b) <= hi && k < int64(gr.n); b, k = b+gr.width, k+1 {
 					if k >= 0 {
-						sets[int(k)*words+wd] |= bit
+						s.sets[int(k)*words+wd] |= bit
 					}
 				}
 			}
 		}
 		scanned += cur.scanned
 	}
-	return gr.count(sets, words, total), nil
+	return s, s.seal(qc)
 }

@@ -9,6 +9,7 @@ import (
 	"mogis/internal/core"
 	"mogis/internal/geom"
 	"mogis/internal/layer"
+	"mogis/internal/moft"
 	"mogis/internal/obs"
 	"mogis/internal/qerr"
 	"mogis/internal/scenario"
@@ -118,7 +119,10 @@ func TestCountRegionSetBudget(t *testing.T) {
 // grid route equals the columnar scan (sampled), and the interval
 // cache equals uncached single-worker evaluation and the per-object
 // reference, which shares no code with the interval column
-// (interpolated).
+// (interpolated). For an ungrouped query, the object-set readout of
+// its first polygon (ObjectsSampledInside, ObjectsPassingThrough) is
+// checked the same way, grid route against scan route, and against
+// the one-polygon count's Total.
 func FuzzGroupedCount(f *testing.F) {
 	city := workload.GenCity(workload.CityConfig{Seed: 9, Cols: 4, Rows: 4})
 	fm := workload.GenTrajectories(city.Extent, workload.TrajConfig{Seed: 9, Objects: 40, Samples: 90})
@@ -143,6 +147,8 @@ func FuzzGroupedCount(f *testing.F) {
 	f.Add(uint32(17), uint32(4001), uint8(3), uint16(0x1234), false)
 	f.Add(uint32(300), uint32(2400), uint8(3), uint16(0xffff), true)
 	f.Add(uint32(31), uint32(900), uint8(5), uint16(0x5555), true)
+	f.Add(uint32(600), uint32(1800), uint8(0), uint16(0x0001), true)
+	f.Add(uint32(600), uint32(1800), uint8(0), uint16(0x0002), false)
 	f.Fuzz(func(t *testing.T, off, width uint32, gsel uint8, mask uint16, sampled bool) {
 		wlo := lo - 600 + timedim.Instant(int64(off)%(span+1200))
 		q := core.RegionSetQuery{
@@ -166,6 +172,9 @@ func FuzzGroupedCount(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%+v:\n fast %+v\n slow %+v", q, got, want)
 		}
+		if q.Granule == 0 && len(q.IDs) > 0 {
+			checkReadout(t, city, fast, slow, q)
+		}
 		if sampled {
 			return
 		}
@@ -177,4 +186,37 @@ func FuzzGroupedCount(f *testing.F) {
 			t.Errorf("%+v:\n fast      %+v\n reference %+v", q, got, r)
 		}
 	})
+}
+
+// checkReadout checks the object-set readout of q's first polygon: the
+// fast engine's answer equals the slow engine's, nil-versus-empty
+// included, and holds as many objects as the fast one-polygon count.
+func checkReadout(t *testing.T, city *workload.City, fast, slow *core.Engine, q core.RegionSetQuery) {
+	t.Helper()
+	q.IDs = q.IDs[:1]
+	pg, _ := city.Ln.Polygon(q.IDs[0])
+	read := func(e *core.Engine) ([]moft.Oid, error) {
+		if q.SampledOnly {
+			return e.ObjectsSampledInside(context.Background(), "FM", pg, q.Window)
+		}
+		return e.ObjectsPassingThrough(context.Background(), "FM", pg, q.Window)
+	}
+	got, err := read(fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := read(slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%+v readout:\n fast %v\n slow %v", q, got, want)
+	}
+	res, err := fast.CountRegionSet(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != res.Total {
+		t.Errorf("%+v: readout holds %d objects, count Total %d", q, len(got), res.Total)
+	}
 }

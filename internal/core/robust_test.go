@@ -10,6 +10,7 @@ import (
 	"mogis/internal/core"
 	"mogis/internal/faultpoint"
 	"mogis/internal/geom"
+	"mogis/internal/layer"
 	"mogis/internal/obs"
 	"mogis/internal/qerr"
 	"mogis/internal/timedim"
@@ -202,28 +203,116 @@ func TestBudgetMaxRows(t *testing.T) {
 	}
 }
 
-// TestBudgetMaxResults: a one-item result budget aborts a query that
-// matches many objects.
+// TestBudgetMaxResults: a one-item result budget aborts a sampled
+// object-set query that matches many objects, on the grid and on the
+// grid-off scan alike.
 func TestBudgetMaxResults(t *testing.T) {
 	w := newRobustWorkload(t)
-	big := w.win
-	ctx := core.WithBudget(context.Background(), core.Budget{MaxResults: 1})
-	_, err := w.eng.ObjectsSampledInside(ctx, "FM", w.pg, big)
-	if err == nil {
-		// The grid path produces its result in one step; the scan path
-		// must hit the budget. Force the scan.
-		w.eng.SetAggGrid(0)
-		_, err = w.eng.ObjectsSampledInside(ctx, "FM", w.pg, big)
+	ctx := context.Background()
+	tbl, err := w.eng.Context().Table("FM")
+	if err != nil {
+		t.Fatal(err)
 	}
-	var be *qerr.BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("got %v, want *BudgetError", err)
+	// An instant at which several objects are sampled inside pg.
+	var at timedim.Instant
+	for _, tp := range tbl.ObjectTuples(tbl.Objects()[0]) {
+		if out, err := w.eng.ObjectsSampledAt(ctx, "FM", tp.T, w.pg); err == nil && len(out) > 1 {
+			at = tp.T
+			break
+		}
 	}
-	if be.Resource != "results" {
-		t.Errorf("Resource = %q, want results", be.Resource)
+	if at == 0 {
+		t.Fatal("no instant samples two objects inside the polygon")
 	}
-	if got := w.met.BudgetResultsExceeded.Value(); got == 0 {
-		t.Error("BudgetResultsExceeded not incremented")
+	queries := map[string]func(context.Context) error{
+		"ObjectsSampledInside": func(ctx context.Context) error {
+			_, err := w.eng.ObjectsSampledInside(ctx, "FM", w.pg, w.win)
+			return err
+		},
+		"ObjectsSampledAt": func(ctx context.Context) error {
+			_, err := w.eng.ObjectsSampledAt(ctx, "FM", at, w.pg)
+			return err
+		},
+	}
+	for _, route := range []struct {
+		name string
+		grid int
+	}{{"grid", 0}, {"scan", -1}} {
+		for name, query := range queries {
+			t.Run(route.name+"/"+name, func(t *testing.T) {
+				w.eng.SetAggGrid(route.grid)
+				before := w.met.BudgetResultsExceeded.Value()
+				err := query(core.WithBudget(ctx, core.Budget{MaxResults: 1}))
+				var be *qerr.BudgetError
+				if !errors.As(err, &be) {
+					t.Fatalf("got %v, want *BudgetError", err)
+				}
+				if be.Resource != "results" {
+					t.Errorf("Resource = %q, want results", be.Resource)
+				}
+				if got := w.met.BudgetResultsExceeded.Value(); got != before+1 {
+					t.Errorf("BudgetResultsExceeded moved by %d, want 1", got-before)
+				}
+			})
+		}
+	}
+}
+
+// TestBudgetResultsIndependentOfCache: Budget.MaxResults is charged
+// from the answer, so a query whose answer holds n objects fails under
+// MaxResults n-1 and passes under n, whether the engine's caches are
+// cold or warm.
+func TestBudgetResultsIndependentOfCache(t *testing.T) {
+	w := newRobustWorkload(t)
+	one := []layer.Gid{1} // w.pg
+	calls := map[string]func(context.Context) (int, error){
+		"ObjectsPassingThrough": func(ctx context.Context) (int, error) {
+			out, err := w.eng.ObjectsPassingThrough(ctx, "FM", w.pg, w.win)
+			return len(out), err
+		},
+		"TimeSpentInside": func(ctx context.Context) (int, error) {
+			out, err := w.eng.TimeSpentInside(ctx, "FM", w.pg, w.win)
+			return len(out), err
+		},
+		"CountRegionSet": func(ctx context.Context) (int, error) {
+			res, err := w.eng.CountRegionSet(ctx, core.RegionSetQuery{Table: "FM", Layer: "Ln", IDs: one, Window: w.win})
+			return res.Total, err
+		},
+		"CountPassingThroughGeometries": func(ctx context.Context) (int, error) {
+			return w.eng.CountPassingThroughGeometries(ctx, "FM", "Ln", one, w.win)
+		},
+		"ObjectsSampledInside": func(ctx context.Context) (int, error) {
+			out, err := w.eng.ObjectsSampledInside(ctx, "FM", w.pg, w.win)
+			return len(out), err
+		},
+	}
+	for name, call := range calls {
+		for _, cold := range []bool{true, false} {
+			cache := "warm"
+			if cold {
+				cache = "cold"
+			}
+			t.Run(name+"/"+cache, func(t *testing.T) {
+				w.eng.ResetCache()
+				n, err := call(context.Background())
+				if err != nil || n < 2 {
+					t.Fatalf("unbudgeted answer: %d objects, %v; want several", n, err)
+				}
+				for _, limit := range []int{n - 1, n} {
+					if cold {
+						w.eng.ResetCache()
+					}
+					_, err := call(core.WithBudget(context.Background(), core.Budget{MaxResults: int64(limit)}))
+					var be *qerr.BudgetError
+					switch {
+					case limit < n && (!errors.As(err, &be) || be.Resource != "results" || be.Used != int64(n)):
+						t.Errorf("MaxResults %d on a %d-object answer: got %v, want results budget (%d > %d)", limit, n, err, n, limit)
+					case limit == n && err != nil:
+						t.Errorf("MaxResults %d on a %d-object answer: %v", limit, n, err)
+					}
+				}
+			})
+		}
 	}
 }
 

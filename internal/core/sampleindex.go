@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"math/bits"
 	"slices"
 
 	"mogis/internal/agggrid"
@@ -218,48 +217,9 @@ func (ix *sampleIndex) countSamples(pg geom.Polygon, lo, hi int64, met *obs.Metr
 	return n, st
 }
 
-// objects returns, ascending, the objects with a sample inside the
-// closed polygon during [lo, hi] (nil when there are none): the grid's
-// object bitset of the base ORed with the tail's, whose rows of objects
-// already in the set skip their test.
-func (ix *sampleIndex) objects(pg geom.Polygon, lo, hi int64, met *obs.Metrics) ([]moft.Oid, agggrid.Stats) {
-	set := make([]uint64, ix.words)
-	st := ix.base.grid.ObjectsSampledInto(pg, lo, hi, set, met)
-	box := pg.BBox()
-	for _, r := range ix.window(lo, hi) {
-		wd, bit := r.obj>>6, uint64(1)<<uint(r.obj&63)
-		if set[wd]&bit != 0 {
-			continue
-		}
-		st.Rows++
-		if p := geom.Pt(r.x, r.y); box.ContainsPoint(p) && pg.ContainsPoint(p) {
-			set[wd] |= bit
-		}
-	}
-	base := ix.base.cols.Oids
-	var out []moft.Oid
-	added := false
-	for w, bw := range set {
-		for bw != 0 {
-			o := w*64 + bits.TrailingZeros64(bw)
-			if o < len(base) {
-				out = append(out, base[o])
-			} else {
-				out = append(out, ix.newOids[o-len(base)])
-				added = true
-			}
-			bw &= bw - 1
-		}
-	}
-	if added {
-		slices.Sort(out)
-	}
-	return out, st
-}
-
 // tailRegionSet ORs the tail into per-granule object bitsets (gr.n
-// blocks of ix.words words) for the sampled CountRegionSet: one pass
-// marks each in-window row's granule, testing a row against the
+// blocks of ix.words words) for the sampled region-set operator: one
+// pass marks each in-window row's granule, testing a row against the
 // polygons only while its object is not yet counted there. It returns
 // the rows tested.
 func (ix *sampleIndex) tailRegionSet(pgs []geom.Polygon, w timedim.Interval, gr granules, sets []uint64) int64 {

@@ -262,7 +262,9 @@ func TestEngineTelemetryPerOpRecords(t *testing.T) {
 // TestScanRoutesChargeEveryRow: with the grid off, each sampled scan
 // route charges the query's row budget with every row it counts in
 // mogis_moft_tuples_scanned_total, the last partial stride included,
-// so the telemetry record's RowsScanned equals the counter's delta.
+// so the telemetry record's RowsScanned equals the counter's delta;
+// and every route reads the same rows, exactly those of the table
+// inside the query window.
 func TestScanRoutesChargeEveryRow(t *testing.T) {
 	w, col, _ := telemetryWorkload(t)
 	w.eng.SetAggGrid(-1)
@@ -273,23 +275,35 @@ func TestScanRoutesChargeEveryRow(t *testing.T) {
 	}
 	at := tbl.ObjectTuples(tbl.Objects()[0])[5].T // an instant some object is sampled at
 	narrow := timedim.Interval{Lo: w.mid, Hi: w.mid + 600}
+	inWindow := func(iv timedim.Interval) int64 {
+		n := int64(0)
+		for _, oid := range tbl.Objects() {
+			for _, tp := range tbl.ObjectTuples(oid) {
+				if tp.T >= iv.Lo && tp.T <= iv.Hi {
+					n++
+				}
+			}
+		}
+		return n
+	}
 	cases := []struct {
 		op  string
+		win timedim.Interval
 		run func() error
 	}{
-		{"count_samples_inside", func() error {
-			_, err := w.eng.CountSamplesInside(ctx, "FM", w.pg, w.win)
+		{"count_samples_inside", narrow, func() error {
+			_, err := w.eng.CountSamplesInside(ctx, "FM", w.pg, narrow)
 			return err
 		}},
-		{"objects_sampled_inside", func() error {
+		{"objects_sampled_inside", narrow, func() error {
 			_, err := w.eng.ObjectsSampledInside(ctx, "FM", w.pg, narrow)
 			return err
 		}},
-		{"objects_sampled_at", func() error {
+		{"objects_sampled_at", timedim.Interval{Lo: at, Hi: at}, func() error {
 			_, err := w.eng.ObjectsSampledAt(ctx, "FM", at, w.pg)
 			return err
 		}},
-		{"count_region_set", func() error {
+		{"count_region_set", narrow, func() error {
 			q := core.RegionSetQuery{Table: "FM", Layer: "Ln", IDs: []layer.Gid{1, 2, 3, 4}, Window: narrow, SampledOnly: true}
 			_, err := w.eng.CountRegionSet(ctx, q)
 			return err
@@ -308,6 +322,9 @@ func TestScanRoutesChargeEveryRow(t *testing.T) {
 			}
 			if delta == 0 || rec.RowsScanned != delta {
 				t.Errorf("RowsScanned = %d, tuples scanned delta = %d; want equal and nonzero", rec.RowsScanned, delta)
+			}
+			if want := inWindow(c.win); rec.RowsScanned != want {
+				t.Errorf("RowsScanned = %d, want the %d rows inside %v", rec.RowsScanned, want, c.win)
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"mogis/internal/geom"
 	"mogis/internal/moft"
@@ -46,51 +45,40 @@ func (e *Engine) ObjectsPossiblyPassingThrough(ctx context.Context, table string
 		if err != nil {
 			return PossiblyResult{}, err
 		}
-		lits := tc.lits
 		e.countQuery(7)
 		sampled, err := e.objectsSampledInside(ctx, qc, pg, iv)
 		if err != nil {
 			return PossiblyResult{}, err
-		}
-		sampledSet := make(map[moft.Oid]bool, len(sampled))
-		for i, o := range sampled {
-			if i%checkEvery == 0 {
-				if err := qc.step(ctx); err != nil {
-					return PossiblyResult{}, err
-				}
-			}
-			sampledSet[o] = true
 		}
 		e.countQuery(7)
 		interp, err := e.objectsPassingThrough(ctx, qc, pg, iv)
 		if err != nil {
 			return PossiblyResult{}, err
 		}
-		interpSet := make(map[moft.Oid]bool, len(interp))
-		for i, o := range interp {
-			if i%checkEvery == 0 {
-				if err := qc.step(ctx); err != nil {
-					return PossiblyResult{}, err
-				}
-			}
-			interpSet[o] = true
-		}
-
+		// sampled, interp and tc.oids all ascend: a cursor into the
+		// earlier stratum splits off the next one.
 		res := PossiblyResult{Definite: sampled}
+		next := 0
 		for i, o := range interp {
 			if i%checkEvery == 0 {
 				if err := qc.step(ctx); err != nil {
 					return PossiblyResult{}, err
 				}
 			}
-			if !sampledSet[o] {
+			for next < len(sampled) && sampled[next] < o {
+				next++
+			}
+			if next == len(sampled) || sampled[next] != o {
 				res.Likely = append(res.Likely, o)
 			}
 		}
-		for oid, l := range lits {
-			if interpSet[oid] {
+		next = 0
+		for _, oid := range tc.oids {
+			if next < len(interp) && interp[next] == oid {
+				next++
 				continue
 			}
+			l := tc.lits[oid]
 			if err := qc.addRows(ctx, int64(len(l.Sample()))); err != nil {
 				return PossiblyResult{}, err
 			}
@@ -108,8 +96,6 @@ func (e *Engine) ObjectsPossiblyPassingThrough(ctx context.Context, table string
 				}
 			}
 		}
-		sort.Slice(res.Likely, func(i, j int) bool { return res.Likely[i] < res.Likely[j] })
-		sort.Slice(res.Possible, func(i, j int) bool { return res.Possible[i] < res.Possible[j] })
 		return res, nil
 	})
 }
