@@ -94,7 +94,8 @@ vet-strict: vet
 		./...
 
 # Each fuzz target for 10s: point-in-polygon vs the grid-count
-# oracle, the Piet-QL parser's no-panic guarantee, the grouped
+# oracle (over a vacuous window and over a narrow one, which takes the
+# grid's temporal index), the Piet-QL parser's no-panic guarantee, the grouped
 # region-set count's grid route vs its scan route (with the
 # ObjectsSampledInside / ObjectsPassingThrough readouts of its
 # one-polygon case), and MOFT appends (accept/reject rule and

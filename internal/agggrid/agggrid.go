@@ -1,16 +1,18 @@
 // Package agggrid implements a GeoBlocks-style pre-aggregated uniform
 // grid over a MOFT's columnar snapshot. The grid partitions the
 // table's bounding box into cells and pre-aggregates, per cell, the
-// sample rows falling in it (a CSR index), the sample count, and an
-// object-presence bitset. A polygon aggregate then classifies the
-// cells overlapping the polygon's bounding box into
+// sample rows falling in it (a CSR index listing them in time order),
+// the sample count, an object-presence bitset, and a temporal index
+// over fixed-width time buckets (see temporal.go). A polygon aggregate
+// then classifies the cells overlapping the polygon's bounding box
+// into
 //
 //   - interior cells — not touched by any polygon boundary segment and
 //     with their center inside the polygon: every sample in them is
 //     inside, so the pre-aggregated count/bitset answers in O(1) when
-//     the time window is vacuous, and the per-cell temporal index
-//     (see temporal.go) resolves a proper window with two binary
-//     searches plus a prefix-sum subtraction otherwise;
+//     the time window is vacuous, and the temporal index resolves a
+//     proper window with two binary searches plus a prefix-sum
+//     subtraction otherwise;
 //   - boundary cells — touched by a boundary segment: refined with an
 //     exact point-in-polygon test per in-window sample;
 //   - exterior cells — skipped entirely.
@@ -39,22 +41,22 @@ import (
 	"mogis/internal/obs"
 )
 
-// Config controls grid construction.
+// Config controls grid construction. The temporal index is always
+// built and always sized from the data: the time extent, the sample
+// density and the query-window hint.
 type Config struct {
 	// NX, NY are the cell counts per axis; 0 derives them from the
 	// sample count (targeting ~64 samples per cell, side clamped to
 	// [8, 256]).
 	NX, NY int
-	// TimeBuckets controls the per-cell temporal index: 0 auto-sizes
-	// from the time extent, sample density, and WindowHint; a positive
-	// value forces that bucket count (clamped to [1, 256]); a negative
-	// value disables the temporal index, reverting non-vacuous windows
-	// to per-row time filters.
-	TimeBuckets int
 	// WindowHint is the typical query-interval width in model time
 	// (e.g. telemetry's observed mean window) used by auto sizing; 0
 	// means unknown.
 	WindowHint int64
+
+	// timeBuckets, when positive, forces the per-cell bucket count
+	// (clamped to [1, 256]); the package's tests sweep it.
+	timeBuckets int
 }
 
 // targetPerCell is the sample count the default sizing aims at per
@@ -73,7 +75,7 @@ type Grid struct {
 
 	// cellStart/rows is a CSR layout: cell c owns sample rows
 	// rows[cellStart[c]:cellStart[c+1]], each an index into the
-	// snapshot's columns.
+	// snapshot's columns, listed in (instant, row) order.
 	cellStart []int32
 	rows      []int32
 	// presence holds one bitset of NumObjects bits per cell
@@ -84,23 +86,20 @@ type Grid struct {
 
 	minT, maxT int64
 
-	// Temporal index (absent when nb == 0): trows re-lists each
-	// cell's rows in (instant, row) order under the same cellStart
-	// offsets; bktOff[c*(nb+1)+b] counts cell c's rows in buckets
-	// [0, b) (a per-cell prefix sum over fixed-width time buckets of
-	// width bktW); bktPresence holds one object-presence bitset per
-	// (cell, bucket).
+	// Temporal index (nb >= 1 on every non-empty grid):
+	// bktOff[c*(nb+1)+b] counts cell c's rows in buckets [0, b) (a
+	// per-cell prefix sum over fixed-width time buckets of width bktW);
+	// bktPresence holds one object-presence bitset per (cell, bucket).
 	nb          int
 	bktW        int64
-	trows       []int32
 	bktOff      []int32
 	bktPresence []uint64
 }
 
 // Stats reports the row-level work a query did: Rows counts the
-// sample rows examined one at a time (time filters, fringe-bucket
-// refinement, exact point-in-polygon tests); answers taken from
-// pre-aggregates contribute nothing.
+// sample rows examined one at a time (fringe-bucket refinement, exact
+// point-in-polygon tests); answers taken from pre-aggregates
+// contribute nothing.
 type Stats struct {
 	Rows int64
 }
@@ -143,9 +142,11 @@ func BuildCtx(ctx context.Context, cols *moft.Columns, cfg Config) (*Grid, error
 	if g.cellH = g.extent.Height() / float64(g.ny); g.cellH <= 0 {
 		g.cellH = 1
 	}
+	lo, hi, _ := cols.TimeSpan()
+	g.minT, g.maxT = int64(lo), int64(hi)
+	g.words = (cols.NumObjects() + 63) / 64
 
 	cells := g.nx * g.ny
-	g.minT, g.maxT = cols.T[0], cols.T[0]
 	// Pass 1: per-cell counts (shifted by one so the prefix sum turns
 	// counts into start offsets in place).
 	g.cellStart = make([]int32, cells+1)
@@ -159,36 +160,47 @@ func BuildCtx(ctx context.Context, cols *moft.Columns, cfg Config) (*Grid, error
 		c := int32(g.cellOf(cols.X[i], cols.Y[i]))
 		cellOfRow[i] = c
 		g.cellStart[c+1]++
-		if cols.T[i] < g.minT {
-			g.minT = cols.T[i]
-		}
-		if cols.T[i] > g.maxT {
-			g.maxT = cols.T[i]
-		}
 	}
 	for c := 0; c < cells; c++ {
 		g.cellStart[c+1] += g.cellStart[c]
 	}
-	// Pass 2: fill rows (cursor per cell) and the presence bitsets.
-	g.words = (cols.NumObjects() + 63) / 64
-	g.presence = make([]uint64, cells*g.words)
+	// Pass 2 streams the rows in global (instant, row) order: per-cell
+	// cursors keep each cell's slice of rows time-sorted without a
+	// per-cell sort, and each row sets its presence bits and counts
+	// into its time bucket on the way through.
+	nb := g.pickBuckets(cfg)
+	g.nb = nb
+	g.bktW = (g.maxT-g.minT)/int64(nb) + 1
 	g.rows = make([]int32, n)
+	g.presence = make([]uint64, cells*g.words)
+	g.bktOff = make([]int32, cells*(nb+1))
+	g.bktPresence = make([]uint64, cells*nb*g.words)
 	cursor := make([]int32, cells)
 	copy(cursor, g.cellStart[:cells])
-	for i := 0; i < n; i++ {
-		if i%4096 == 4095 {
+	for k, row := range cols.TimeOrder() {
+		if k%4096 == 4095 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		c := cellOfRow[i]
-		g.rows[cursor[c]] = int32(i)
+		c := int(cellOfRow[row])
+		g.rows[cursor[c]] = row
 		cursor[c]++
-		o := cols.Obj[i]
-		g.presence[int(c)*g.words+int(o>>6)] |= 1 << uint(o&63)
+		o := cols.Obj[row]
+		bit := uint64(1) << uint(o&63)
+		g.presence[c*g.words+int(o>>6)] |= bit
+		b := int((cols.T[row] - g.minT) / g.bktW)
+		g.bktOff[c*(nb+1)+b+1]++
+		g.bktPresence[(c*nb+b)*g.words+int(o>>6)] |= bit
 	}
-	if err := g.buildTemporal(ctx, cfg, cellOfRow); err != nil {
-		return nil, err
+	// Per-cell prefix sums turn bucket counts into offsets into the
+	// cell's slice of rows: bucket b of cell c is
+	// rows[cellStart[c]:][bktOff[base+b]:bktOff[base+b+1]].
+	for c := 0; c < cells; c++ {
+		base := c * (nb + 1)
+		for b := 0; b < nb; b++ {
+			g.bktOff[base+b+1] += g.bktOff[base+b]
+		}
 	}
 	return g, nil
 }
@@ -337,9 +349,9 @@ func metricsOrNop(met *obs.Metrics) *obs.Metrics {
 
 // timeVacuous reports whether [lo, hi] covers every sample instant, so
 // interior cells can be answered from pre-aggregates without touching
-// sample rows.
+// sample rows. Every window is vacuous on an empty grid.
 func (g *Grid) timeVacuous(lo, hi int64) bool {
-	return len(g.rows) > 0 && lo <= g.minT && hi >= g.maxT
+	return len(g.rows) == 0 || lo <= g.minT && hi >= g.maxT
 }
 
 // CountSamples returns the number of samples positioned inside the
@@ -357,40 +369,23 @@ func (g *Grid) CountSamplesStats(pg geom.Polygon, lo, hi int64, met *obs.Metrics
 	met.AggGridQueries.Inc()
 	met.AggGridInteriorCells.Add(int64(len(cv.Interior)))
 	met.AggGridBoundaryCells.Add(int64(len(cv.Boundary)))
-	cols, total := g.cols, 0
-	var st Stats
+	total := 0
 	if g.timeVacuous(lo, hi) {
 		for _, c := range cv.Interior {
 			total += int(g.cellStart[c+1] - g.cellStart[c])
 		}
-		met.AggGridInteriorSamples.Add(int64(total))
-	} else if g.nb > 0 {
-		met.AggGridTemporalQueries.Inc()
-		accepted := 0
-		for _, c := range cv.Interior {
-			accepted += g.temporalCount(c, lo, hi)
-		}
-		met.AggGridInteriorSamples.Add(int64(accepted))
-		total += accepted
 	} else {
-		accepted := 0
+		met.AggGridTemporalQueries.Inc()
 		for _, c := range cv.Interior {
-			for _, row := range g.rows[g.cellStart[c]:g.cellStart[c+1]] {
-				st.Rows++
-				if t := cols.T[row]; t >= lo && t <= hi {
-					accepted++
-				}
-			}
+			total += g.temporalCount(c, lo, hi)
 		}
-		met.AggGridInteriorSamples.Add(int64(accepted))
-		total += accepted
 	}
+	met.AggGridInteriorSamples.Add(int64(total))
+	var st Stats
 	refined := int64(0)
+	cols := g.cols
 	for _, c := range cv.Boundary {
 		for _, row := range g.boundaryWindow(c, lo, hi, &st) {
-			if t := cols.T[row]; t < lo || t > hi {
-				continue
-			}
 			refined++
 			if pg.ContainsPoint(geom.Pt(cols.X[row], cols.Y[row])) {
 				total++
@@ -401,19 +396,11 @@ func (g *Grid) CountSamplesStats(pg geom.Polygon, lo, hi int64, met *obs.Metrics
 	return total, st
 }
 
-// boundaryWindow returns the rows of boundary cell c a refinement must
-// examine for window [lo, hi]: with the temporal index present, the
-// time-sorted row list narrowed to the window by two binary searches;
-// otherwise the cell's full row list (callers re-filter by instant, so
-// both shapes refine the same samples). The returned rows are counted
-// into st.
+// boundaryWindow returns the rows of boundary cell c with instant in
+// [lo, hi] — the time-sorted row list narrowed by two binary searches
+// — and counts them into st.
 func (g *Grid) boundaryWindow(c int32, lo, hi int64, st *Stats) []int32 {
-	if g.nb == 0 {
-		rows := g.rows[g.cellStart[c]:g.cellStart[c+1]]
-		st.Rows += int64(len(rows))
-		return rows
-	}
-	rows := g.cellTRows(c)
+	rows := g.cellRows(c)
 	i0 := 0
 	if lo > g.minT {
 		i0 = g.searchT(rows, lo)
@@ -476,32 +463,17 @@ func (g *Grid) ObjectsSampledInto(pg geom.Polygon, lo, hi int64, set []uint64, m
 			}
 			interior += int64(g.cellStart[c+1] - g.cellStart[c])
 		}
-	} else if g.nb > 0 {
+	} else {
 		met.AggGridTemporalQueries.Inc()
-		fringe0 := st.Rows
 		for _, c := range cv.Interior {
 			interior += g.temporalObjects(c, lo, hi, set, &st)
 		}
-		met.AggGridFringeSamples.Add(st.Rows - fringe0)
-	} else {
-		for _, c := range cv.Interior {
-			for _, row := range g.rows[g.cellStart[c]:g.cellStart[c+1]] {
-				st.Rows++
-				if t := cols.T[row]; t >= lo && t <= hi {
-					o := cols.Obj[row]
-					set[o>>6] |= 1 << uint(o&63)
-					interior++
-				}
-			}
-		}
+		met.AggGridFringeSamples.Add(st.Rows)
 	}
 	met.AggGridInteriorSamples.Add(interior)
 	refined := int64(0)
 	for _, c := range cv.Boundary {
 		for _, row := range g.boundaryWindow(c, lo, hi, &st) {
-			if t := cols.T[row]; t < lo || t > hi {
-				continue
-			}
 			o := cols.Obj[row]
 			if set[o>>6]&(1<<uint(o&63)) != 0 {
 				continue // already in; skip the exact test

@@ -1,18 +1,16 @@
 package agggrid
 
-import "context"
-
 // The per-cell temporal index turns region×interval aggregates from
 // O(rows-in-cell) time filters into pre-aggregated lookups, in the
-// spirit of the aRB-tree's per-node time aggregates: each cell's rows
-// are re-listed in (instant, row) order and partitioned into
-// fixed-width time buckets with a per-cell prefix sum over bucket
-// counts and one object-presence bitset per (cell, bucket). An
-// interior cell then answers a count over [lo, hi] with two binary
-// searches (one per fringe bucket) and a prefix-sum subtraction, and
-// an object query ORs the fully covered buckets' bitsets, refining
-// only the two fringe buckets row by row. Boundary cells binary-search
-// the same time-sorted row list to confine the exact point-in-polygon
+// spirit of the aRB-tree's per-node time aggregates: each cell's rows,
+// listed in (instant, row) order, are partitioned into fixed-width
+// time buckets with a per-cell prefix sum over bucket counts and one
+// object-presence bitset per (cell, bucket). An interior cell then
+// answers a count over [lo, hi] with two binary searches (one per
+// fringe bucket) and a prefix-sum subtraction, and an object query ORs
+// the fully covered buckets' bitsets, refining only the two fringe
+// buckets row by row. Boundary cells binary-search the same
+// time-sorted row list to confine the exact point-in-polygon
 // refinement to the query window.
 
 const (
@@ -31,48 +29,31 @@ const (
 	targetPerBucket = 4
 )
 
-// pickBuckets resolves the configured bucket count: negative disables
-// the index, positive forces a count, zero auto-sizes from the time
-// extent and sample density, widened by the query-window hint
-// (GeoBlocks-style query-driven adaptation: a typical window should
-// span several buckets so most of it is answered from pre-aggregates).
+// pickBuckets resolves the bucket count of a non-empty grid: a forced
+// count when the config sets one, else auto-sized from the time extent
+// and sample density, widened by the query-window hint (GeoBlocks-style
+// query-driven adaptation: a typical window should span several
+// buckets so most of it is answered from pre-aggregates). The result
+// is always at least 1.
 func (g *Grid) pickBuckets(cfg Config) int {
-	if cfg.TimeBuckets < 0 || len(g.rows) == 0 {
-		return 0
-	}
-	nb := cfg.TimeBuckets
-	if nb == 0 {
+	nb := cfg.timeBuckets
+	if nb <= 0 {
 		populated := 0
 		for c := 0; c < g.nx*g.ny; c++ {
 			if g.cellStart[c+1] > g.cellStart[c] {
 				populated++
 			}
 		}
-		nb = defaultTimeBuckets
-		if populated > 0 {
-			if byDensity := len(g.rows) / populated / targetPerBucket; byDensity > nb {
-				nb = byDensity
-			}
-		}
+		nb = max(defaultTimeBuckets, g.cols.Len()/populated/targetPerBucket)
 		if span := g.maxT - g.minT; cfg.WindowHint > 0 && span > 0 {
 			// Aim the bucket width at a quarter of the typical query
 			// window, so the two fringe buckets cover at most half of
 			// a typical interval.
-			w := cfg.WindowHint / 4
-			if w < 1 {
-				w = 1
-			}
-			if byWindow := int(span/w) + 1; byWindow > nb {
-				nb = byWindow
-			}
+			w := max(cfg.WindowHint/4, 1)
+			nb = max(nb, int(span/w)+1)
 		}
 	}
-	if nb > maxTimeBuckets {
-		nb = maxTimeBuckets
-	}
-	if nb < 1 {
-		nb = 1
-	}
+	nb = min(max(nb, 1), maxTimeBuckets)
 	// Halve until the per-bucket presence bitsets fit the memory cap;
 	// nb == 1 always fits (it mirrors the spatial presence bitsets).
 	for nb > 1 && g.nx*g.ny*nb*g.words > maxBucketPresenceWords {
@@ -81,59 +62,13 @@ func (g *Grid) pickBuckets(cfg Config) int {
 	return nb
 }
 
-// buildTemporal fills the temporal index. cellOfRow is the build's
-// pass-1 scratch mapping each row to its cell.
-func (g *Grid) buildTemporal(ctx context.Context, cfg Config, cellOfRow []int32) error {
-	nb := g.pickBuckets(cfg)
-	if nb <= 0 {
-		return nil
-	}
-	cells := g.nx * g.ny
-	g.nb = nb
-	g.bktW = (g.maxT-g.minT)/int64(nb) + 1
-	g.trows = make([]int32, len(g.rows))
-	g.bktOff = make([]int32, cells*(nb+1))
-	g.bktPresence = make([]uint64, cells*nb*g.words)
-	cursor := make([]int32, cells)
-	copy(cursor, g.cellStart[:cells])
-	cols := g.cols
-	// Stream the rows in global (instant, row) order: the per-cell
-	// cursors keep each cell's slice of trows time-sorted without a
-	// per-cell sort, and each row closes its bucket's count and
-	// presence bits on the way through.
-	for k, row := range cols.TimeOrder() {
-		if k%4096 == 4095 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		c := int(cellOfRow[row])
-		g.trows[cursor[c]] = row
-		cursor[c]++
-		b := int((cols.T[row] - g.minT) / g.bktW)
-		g.bktOff[c*(nb+1)+b+1]++
-		o := cols.Obj[row]
-		g.bktPresence[(c*nb+b)*g.words+int(o>>6)] |= 1 << uint(o&63)
-	}
-	// Per-cell prefix sums turn bucket counts into offsets into the
-	// cell's trows slice: bucket b of cell c is
-	// trows[cellStart[c]:][bktOff[base+b]:bktOff[base+b+1]].
-	for c := 0; c < cells; c++ {
-		base := c * (nb + 1)
-		for b := 0; b < nb; b++ {
-			g.bktOff[base+b+1] += g.bktOff[base+b]
-		}
-	}
-	return nil
-}
-
-// TimeBuckets returns the per-cell temporal bucket count, 0 when the
-// temporal index is absent.
+// TimeBuckets returns the per-cell temporal bucket count: at least 1
+// on every non-empty grid, 0 on an empty one.
 func (g *Grid) TimeBuckets() int { return g.nb }
 
-// cellTRows returns cell c's rows in (instant, row) order.
-func (g *Grid) cellTRows(c int32) []int32 {
-	return g.trows[g.cellStart[c]:g.cellStart[c+1]]
+// cellRows returns cell c's rows in (instant, row) order.
+func (g *Grid) cellRows(c int32) []int32 {
+	return g.rows[g.cellStart[c]:g.cellStart[c+1]]
 }
 
 // searchT returns the first index in rows (time-sorted) whose instant
@@ -169,7 +104,7 @@ func (g *Grid) searchAfter(rows []int32, t int64) int {
 
 // temporalCount counts cell c's rows with instant in [lo, hi] using
 // the temporal index: two binary searches, each confined to one fringe
-// bucket, and a prefix-sum subtraction. Requires g.nb > 0.
+// bucket, and a prefix-sum subtraction.
 func (g *Grid) temporalCount(c int32, lo, hi int64) int {
 	if lo < g.minT {
 		lo = g.minT
@@ -181,7 +116,7 @@ func (g *Grid) temporalCount(c int32, lo, hi int64) int {
 		return 0
 	}
 	base := int(c) * (g.nb + 1)
-	rows := g.cellTRows(c)
+	rows := g.cellRows(c)
 	bLo := int((lo - g.minT) / g.bktW)
 	bHi := int((hi - g.minT) / g.bktW)
 	// Rows in buckets below bLo all precede lo, so the count of rows
@@ -196,7 +131,7 @@ func (g *Grid) temporalCount(c int32, lo, hi int64) int {
 // instant in [lo, hi]: fully covered buckets contribute their
 // pre-aggregated bitset, only the fringe buckets are filtered row by
 // row. Returns the number of in-window rows and adds the fringe rows
-// examined to st. Requires g.nb > 0.
+// examined to st.
 func (g *Grid) temporalObjects(c int32, lo, hi int64, set []uint64, st *Stats) int64 {
 	if lo < g.minT {
 		lo = g.minT
@@ -209,7 +144,7 @@ func (g *Grid) temporalObjects(c int32, lo, hi int64, set []uint64, st *Stats) i
 	}
 	cols := g.cols
 	base := int(c) * (g.nb + 1)
-	rows := g.cellTRows(c)
+	rows := g.cellRows(c)
 	bLo := int((lo - g.minT) / g.bktW)
 	bHi := int((hi - g.minT) / g.bktW)
 	accepted := int64(0)

@@ -8,6 +8,7 @@ import (
 
 	"mogis/internal/geom"
 	"mogis/internal/moft"
+	"mogis/internal/timedim"
 )
 
 // randomConvexPolygon builds a convex polygon from random points in
@@ -61,29 +62,25 @@ func fuzzWindow(rng *rand.Rand, lo, hi int64) (int64, int64) {
 // TestTemporalFuzzIdentity is the satellite fuzz gate: random convex
 // polygons × random windows (including instants, inverted, vacuous and
 // off-extent windows) across forced bucket counts 1, 16 and 256, the
-// adaptive default, the disabled index, and an asymmetric grid — every
-// answer must match the naive full scan exactly.
+// adaptive default, and an asymmetric grid — every answer must match
+// the naive full scan exactly.
 func TestTemporalFuzzIdentity(t *testing.T) {
 	tbl := randomTable(t, 40, 60, 7)
 	cols := tbl.Columns()
 	lo, hi, _ := cols.TimeSpan()
 	configs := []Config{
-		{TimeBuckets: 1},
-		{TimeBuckets: 16},
-		{TimeBuckets: 256},
-		{TimeBuckets: 0},  // adaptive
-		{TimeBuckets: -1}, // temporal index disabled
-		{NX: 5, NY: 3, TimeBuckets: 16},
-		{TimeBuckets: 16, WindowHint: int64(hi-lo) / 32},
+		{timeBuckets: 1},
+		{timeBuckets: 16},
+		{timeBuckets: 256},
+		{timeBuckets: 0}, // adaptive
+		{NX: 5, NY: 3, timeBuckets: 16},
+		{timeBuckets: 16, WindowHint: int64(hi-lo) / 32},
 	}
 	rng := rand.New(rand.NewSource(7))
 	for ci, cfg := range configs {
 		g := Build(cols, cfg)
-		if cfg.TimeBuckets > 0 && g.TimeBuckets() != cfg.TimeBuckets {
-			t.Errorf("config %d: TimeBuckets() = %d, want forced %d", ci, g.TimeBuckets(), cfg.TimeBuckets)
-		}
-		if cfg.TimeBuckets < 0 && g.TimeBuckets() != 0 {
-			t.Errorf("config %d: TimeBuckets() = %d, want disabled (0)", ci, g.TimeBuckets())
+		if cfg.timeBuckets > 0 && g.TimeBuckets() != cfg.timeBuckets {
+			t.Errorf("config %d: TimeBuckets() = %d, want forced %d", ci, g.TimeBuckets(), cfg.timeBuckets)
 		}
 		for trial := 0; trial < 40; trial++ {
 			pg := randomConvexPolygon(rng)
@@ -100,6 +97,44 @@ func TestTemporalFuzzIdentity(t *testing.T) {
 			}
 		}
 	}
+
+	// Degenerate non-empty tables, sized adaptively: the readers take
+	// the temporal path for every non-vacuous window, so every such
+	// grid must carry at least one bucket and still match the scan.
+	row, instant, point := moft.New("FMrow"), moft.New("FMinstant"), moft.New("FMpoint")
+	row.Add(1, 30, 50, 50)
+	for o := 0; o < 20; o++ {
+		instant.Add(moft.Oid(o+1), 30, rng.Float64()*100, rng.Float64()*100)
+		for s := 0; s < 5; s++ {
+			point.Add(moft.Oid(o+1), timedim.Instant(s*10+o), 50, 50)
+		}
+	}
+	for _, d := range []struct {
+		name string
+		tbl  *moft.Table
+	}{{"one row", row}, {"one instant", instant}, {"one point", point}} {
+		name, cols := d.name, d.tbl.Columns()
+		lo, hi, _ := cols.TimeSpan()
+		g := Build(cols, Config{})
+		if g.TimeBuckets() < 1 {
+			t.Fatalf("%s: TimeBuckets() = %d, want >= 1", name, g.TimeBuckets())
+		}
+		pgs := []geom.Polygon{testPolygons()["all"], testPolygons()["concave"]}
+		for trial := 0; trial < 40; trial++ {
+			pgs = append(pgs, randomConvexPolygon(rng))
+		}
+		for _, pg := range pgs {
+			for w := 0; w < 8; w++ {
+				wlo, whi := fuzzWindow(rng, int64(lo), int64(hi))
+				if gotN, wantN := g.CountSamples(pg, wlo, whi, nil), naiveCount(cols, pg, wlo, whi); gotN != wantN {
+					t.Fatalf("%s [%d,%d]: CountSamples = %d, naive = %d", name, wlo, whi, gotN, wantN)
+				}
+				if gotO, wantO := g.ObjectsSampled(pg, wlo, whi, nil), naiveObjects(cols, pg, wlo, whi); !eqOids(gotO, wantO) {
+					t.Fatalf("%s [%d,%d]: ObjectsSampled = %v, naive = %v", name, wlo, whi, gotO, wantO)
+				}
+			}
+		}
+	}
 }
 
 // TestTemporalBucketBoundaries pins the windows the prefix-sum
@@ -112,7 +147,7 @@ func TestTemporalBucketBoundaries(t *testing.T) {
 	lo, hi, _ := cols.TimeSpan()
 	pg := testPolygons()["concave"]
 	for _, nb := range []int{1, 3, 16} {
-		g := Build(cols, Config{TimeBuckets: nb})
+		g := Build(cols, Config{timeBuckets: nb})
 		if g.TimeBuckets() != nb {
 			t.Fatalf("TimeBuckets() = %d, want %d", g.TimeBuckets(), nb)
 		}
@@ -168,7 +203,7 @@ func TestTemporalAdaptiveSizing(t *testing.T) {
 	one := moft.New("FMone")
 	one.Add(1, 42, 5, 5)
 	one.Add(2, 42, 6, 6)
-	g := Build(one.Columns(), Config{TimeBuckets: 8})
+	g := Build(one.Columns(), Config{timeBuckets: 8})
 	sq := geom.Polygon{Shell: geom.Ring{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(10, 10), geom.Pt(0, 10)}}
 	if got := g.CountSamples(sq, 42, 42, nil); got != 2 {
 		t.Errorf("single-instant CountSamples = %d, want 2", got)

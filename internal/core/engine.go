@@ -88,9 +88,9 @@ type Engine struct {
 	// intervalCap is the interval-cache polygon cap (0 → default,
 	// negative → caching disabled).
 	intervalCap atomic.Int32
-	// gridCells configures the pre-aggregated sample grid (0 → default
-	// auto-sizing, n > 0 → n×n cells, negative → grid disabled).
-	gridCells atomic.Int32
+	// gridOff disables the pre-aggregated sample grid (the zero value
+	// keeps it on).
+	gridOff atomic.Bool
 }
 
 // New creates an engine over the model context.
@@ -174,22 +174,17 @@ func (e *Engine) intervalCacheCap() int {
 	}
 }
 
-// SetAggGrid configures the pre-aggregated sample grid that
-// accelerates polygon aggregates over raw samples: n < 0 disables the
-// grid (queries take the scan path), 0 restores the default
-// auto-sizing (~64 samples per cell), n > 0 forces an n×n grid. The
-// setting applies to grids built afterwards; new table versions keep
-// answering from their inherited base grid until it compacts, so call
-// ResetCache or InvalidateTrajectories to rebuild an existing grid.
-func (e *Engine) SetAggGrid(n int) {
-	if n < 0 {
-		n = -1
-	}
-	e.gridCells.Store(int32(n))
-}
+// SetAggGrid switches the pre-aggregated sample grid that accelerates
+// polygon aggregates over raw samples: n < 0 turns it off (queries take
+// the scan path), n >= 0 turns it on (the default). The grid is always
+// sized from the data: ~64 samples per cell, time buckets from the
+// time extent, sample density and observed query windows. Switching
+// takes effect on the next query; an existing grid is kept and reused
+// when the grid is switched back on.
+func (e *Engine) SetAggGrid(n int) { e.gridOff.Store(n < 0) }
 
 // gridEnabled reports whether sample queries may use the grid.
-func (e *Engine) gridEnabled() bool { return e.gridCells.Load() >= 0 }
+func (e *Engine) gridEnabled() bool { return !e.gridOff.Load() }
 
 // samples returns the sample index of the query's table version.
 // Unlike table(), it never triggers the LIT build — sample-only
@@ -399,17 +394,23 @@ func (e *Engine) ObjectsInterpolatedAt(ctx context.Context, table string, t time
 		parts := make([][]moft.Oid, workers)
 		err = forChunks(ctx, workers, len(cand), func(chunk, lo, hi int) error {
 			var local []moft.Oid
-			for i, oid := range cand[lo:hi] {
-				if i%256 == 255 {
-					if err := qc.addRows(ctx, 256); err != nil {
+			rows := int64(0)
+			for _, oid := range cand[lo:hi] {
+				l := tc.lits[oid]
+				if rows += int64(len(l.Sample())); rows >= checkEvery {
+					if err := qc.addRows(ctx, rows); err != nil {
 						return err
 					}
+					rows = 0
 				}
-				if p, ok := tc.lits[oid].AtInstant(t); ok && pg.ContainsPoint(p) {
+				if p, ok := l.AtInstant(t); ok && pg.ContainsPoint(p) {
 					local = append(local, oid)
 				}
 			}
 			parts[chunk] = local
+			if err := qc.addRows(ctx, rows); err != nil {
+				return err
+			}
 			return qc.addResults(int64(len(local)))
 		})
 		if err != nil {

@@ -21,7 +21,9 @@ import (
 // implements it; callers that wrap the engine (tracing, test doubles)
 // embed the interface rather than the concrete type.
 type Querier interface {
-	// Model context and configuration.
+	// Model context and configuration. SetAggGrid switches the
+	// pre-aggregated sample grid off (n < 0) or on (n >= 0); the grid
+	// always sizes itself from the data.
 	Context() *fo.Context
 	SetMetrics(*obs.Metrics)
 	SetTelemetry(*telemetry.Collector)

@@ -203,6 +203,32 @@ func TestBudgetMaxRows(t *testing.T) {
 	}
 }
 
+// TestBudgetObjectsInterpolatedAtRows: ObjectsInterpolatedAt charges
+// every candidate's trajectory samples, the last partial stride
+// included, so a polygon covering the extent charges the whole table
+// and a one-row budget aborts the query.
+func TestBudgetObjectsInterpolatedAtRows(t *testing.T) {
+	w, col, _ := telemetryWorkload(t)
+	tbl, err := w.eng.Context().Table("FM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := tbl.BBox().Expand(1).Corners()
+	all := geom.Polygon{Shell: geom.Ring(c[:])}
+	if _, err := w.eng.ObjectsInterpolatedAt(context.Background(), "FM", w.mid, all); err != nil {
+		t.Fatal(err)
+	}
+	if rec := col.Recent(1)[0]; rec.RowsScanned != int64(tbl.Len()) {
+		t.Errorf("RowsScanned = %d, want every row of the table (%d)", rec.RowsScanned, tbl.Len())
+	}
+	ctx := core.WithBudget(context.Background(), core.Budget{MaxRows: 1})
+	_, err = w.eng.ObjectsInterpolatedAt(ctx, "FM", w.mid, all)
+	var be *qerr.BudgetError
+	if !errors.As(err, &be) || be.Resource != "rows" {
+		t.Fatalf("MaxRows 1: got %v, want rows *BudgetError", err)
+	}
+}
+
 // TestBudgetMaxResults: a one-item result budget aborts a sampled
 // object-set query that matches many objects, on the grid and on the
 // grid-off scan alike.

@@ -130,12 +130,11 @@ func (e *Engine) buildBase(ctx context.Context, tbl *moft.Table, ver moft.Versio
 	if err != nil {
 		return nil, err
 	}
-	n := int(e.gridCells.Load())
 	// Time buckets are sized adaptively: the observed query windows
 	// of the interval-taking grid ops refine the extent + density
 	// seed (GeoBlocks-style query-driven refinement); with no
 	// telemetry or no windowed queries yet, the hint stays 0.
-	cfg := agggrid.Config{NX: n, NY: n, WindowHint: e.telemetry().MeanWindow(windowHintOps...)}
+	cfg := agggrid.Config{WindowHint: e.telemetry().MeanWindow(windowHintOps...)}
 	g, err := agggrid.BuildCtx(ctx, cols, cfg)
 	if err != nil {
 		return nil, err

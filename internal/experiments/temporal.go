@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"time"
 
-	"mogis/internal/agggrid"
-	"mogis/internal/geom"
 	"mogis/internal/moft"
 	"mogis/internal/obs"
 	"mogis/internal/timedim"
@@ -16,17 +14,15 @@ import (
 // P13 measures the per-cell temporal index on the region×interval
 // query shape: per low-income neighborhood, count the samples inside
 // and list the distinct objects sampled inside over a sweep of narrow
-// time windows. Without the index a non-vacuous window forces a
-// per-row time filter over every cell the polygon covers; with it an
-// interior cell resolves to two binary searches plus a prefix-sum
-// subtraction, and only the two fringe buckets refine row-by-row.
+// time windows. With the index an interior cell resolves to two binary
+// searches plus a prefix-sum subtraction, and only the two fringe
+// buckets refine row-by-row.
 //
 // Phase 1 (identity) runs the whole sweep — narrow windows plus
 // vacuous, instant, empty and out-of-extent edge cases — on the grid
 // with its adaptive temporal index and gates on reflect.DeepEqual
 // against the scan-path oracle (grid disabled). Phase 2 (timing)
-// reruns the narrow windows on three configurations: scan (grid
-// disabled), a grid built without its temporal index, and the
+// reruns the narrow windows on the scan (grid disabled) and on the
 // engine's grid with the adaptive temporal index. The temporal speedup
 // over scan is reported; pass gates on identity only, since timing is
 // host-dependent. objects defaults to 600; mobench -full runs 4000
@@ -82,23 +78,18 @@ func P13(objects int) Report {
 		counts []int
 		objs   [][]moft.Oid
 	}
-	// ask answers one polygon and window: the sample count and the
-	// objects sampled inside.
-	type ask func(pg geom.Polygon, iv timedim.Interval) (int, []moft.Oid, error)
-	engineAsk := func(pg geom.Polygon, iv timedim.Interval) (int, []moft.Oid, error) {
-		n, err := eng.CountSamplesInside(qctx(), "FM", pg, iv)
-		if err != nil {
-			return 0, nil, err
-		}
-		o, err := eng.ObjectsSampledInside(qctx(), "FM", pg, iv)
-		return n, o, err
-	}
-	sweep := func(ivs []timedim.Interval, q ask) ([]answer, error) {
+	// sweep answers every polygon over every window on the engine's
+	// current route: the sample count and the objects sampled inside.
+	sweep := func(ivs []timedim.Interval) ([]answer, error) {
 		out := make([]answer, len(ivs))
 		for w, iv := range ivs {
 			a := answer{counts: make([]int, len(polys)), objs: make([][]moft.Oid, len(polys))}
 			for i, pg := range polys {
-				n, o, err := q(pg, iv)
+				n, err := eng.CountSamplesInside(qctx(), "FM", pg, iv)
+				if err != nil {
+					return nil, err
+				}
+				o, err := eng.ObjectsSampledInside(qctx(), "FM", pg, iv)
 				if err != nil {
 					return nil, err
 				}
@@ -108,16 +99,16 @@ func P13(objects int) Report {
 		}
 		return out, nil
 	}
-	timedSweep := func(ivs []timedim.Interval, q ask) ([]answer, time.Duration, error) {
+	timedSweep := func(ivs []timedim.Interval) ([]answer, time.Duration, error) {
 		// One untimed pass warms caches (columnar snapshot or grid).
-		if _, err := sweep(ivs, q); err != nil {
+		if _, err := sweep(ivs); err != nil {
 			return nil, 0, err
 		}
 		var a []answer
 		t0 := time.Now()
 		for i := 0; i < iters; i++ {
 			var err error
-			if a, err = sweep(ivs, q); err != nil {
+			if a, err = sweep(ivs); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -127,12 +118,12 @@ func P13(objects int) Report {
 	// Phase 1: exact identity of the temporal-index path against the
 	// scan-path oracle.
 	eng.SetAggGrid(-1)
-	oracle, err := sweep(all, engineAsk)
+	oracle, err := sweep(all)
 	if err != nil {
 		return fail(err)
 	}
 	eng.SetAggGrid(0)
-	indexed, err := sweep(all, engineAsk)
+	indexed, err := sweep(all)
 	if err != nil {
 		return fail(err)
 	}
@@ -141,38 +132,17 @@ func P13(objects int) Report {
 	// Phase 2: timing on the narrow windows only.
 	eng.SetAggGrid(-1)
 	eng.ResetCache()
-	scanAns, scanDur, err := timedSweep(narrow, engineAsk)
-	if err != nil {
-		return fail(err)
-	}
-	// Grid on, temporal index off: every non-vacuous window filters
-	// each covered cell's rows by time.
-	cols, err := fm.ColumnsCtx(qctx())
-	if err != nil {
-		return fail(err)
-	}
-	rowGrid, err := agggrid.BuildCtx(qctx(), cols, agggrid.Config{TimeBuckets: -1})
-	if err != nil {
-		return fail(err)
-	}
-	rowAns, rowDur, err := timedSweep(narrow, func(pg geom.Polygon, iv timedim.Interval) (int, []moft.Oid, error) {
-		n := rowGrid.CountSamples(pg, int64(iv.Lo), int64(iv.Hi), met)
-		o := rowGrid.ObjectsSampled(pg, int64(iv.Lo), int64(iv.Hi), met)
-		if o == nil {
-			o = []moft.Oid{} // the engine answers an empty set non-nil
-		}
-		return n, o, nil
-	})
+	scanAns, scanDur, err := timedSweep(narrow)
 	if err != nil {
 		return fail(err)
 	}
 	eng.SetAggGrid(0) // adaptive temporal index
 	eng.ResetCache()
-	bktAns, bktDur, err := timedSweep(narrow, engineAsk)
+	bktAns, bktDur, err := timedSweep(narrow)
 	if err != nil {
 		return fail(err)
 	}
-	timingIdent := reflect.DeepEqual(scanAns, rowAns) && reflect.DeepEqual(scanAns, bktAns)
+	timingIdent := reflect.DeepEqual(scanAns, bktAns)
 
 	temporalQ := met.AggGridTemporalQueries.Value()
 	fringe := met.AggGridFringeSamples.Value()
@@ -188,10 +158,8 @@ func P13(objects int) Report {
 	}
 	rows := []Row{
 		{Label: "columnar scan", Values: []string{fmtDur(scanDur), "1.00x", "oracle"}},
-		{Label: "grid, per-row time filter", Values: []string{fmtDur(rowDur),
-			fmt.Sprintf("%.2fx", float64(scanDur)/float64(rowDur)), ident(reflect.DeepEqual(scanAns, rowAns))}},
 		{Label: "grid + temporal index", Values: []string{fmtDur(bktDur),
-			fmt.Sprintf("%.2fx", speedup), ident(reflect.DeepEqual(scanAns, bktAns))}},
+			fmt.Sprintf("%.2fx", speedup), ident(timingIdent)}},
 	}
 	body := Table([]string{"path", "sweep (count+objects, narrow windows)", "speedup", "identity"}, rows)
 	body += fmt.Sprintf("  workload: %d objects, %d samples, %d polygons × %d windows (%d narrow + %d edge cases)\n",

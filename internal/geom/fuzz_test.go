@@ -15,8 +15,9 @@ import (
 // tests assert between a grid engine and a scan engine. A fuzzed
 // triangle and a handful of fuzzed samples go through both paths: a
 // brute-force ContainsPoint scan and agggrid's interior/boundary cell
-// classification with exact refinement. Any divergence is a
-// soundness bug in one of the two.
+// classification with exact refinement, over the whole time extent
+// and over a window inside it. Any divergence is a soundness bug in
+// one of the two.
 func FuzzPointInPolygon(f *testing.F) {
 	f.Add(0.0, 0.0, 10.0, 0.0, 5.0, 8.0, 2.0, 2.0, 9.0, 9.0)
 	f.Add(-3.0, -3.0, 3.0, -3.0, 0.0, 4.0, 0.0, 0.0, 0.0, 4.0)
@@ -45,10 +46,16 @@ func FuzzPointInPolygon(f *testing.F) {
 		}
 		cols := tb.Columns()
 
-		want := 0
-		for _, p := range samples {
+		// Sample i is at instant i: the vacuous window answers from the
+		// cell pre-aggregates, the window [1, 2] through the temporal
+		// index.
+		want, want12 := 0, 0
+		for i, p := range samples {
 			if pg.ContainsPoint(p) {
 				want++
+				if i == 1 || i == 2 {
+					want12++
+				}
 			}
 		}
 		for _, cfg := range []agggrid.Config{{}, {NX: 2, NY: 2}, {NX: 16, NY: 16}} {
@@ -56,6 +63,10 @@ func FuzzPointInPolygon(f *testing.F) {
 			if got := g.CountSamples(pg, math.MinInt64, math.MaxInt64, nil); got != want {
 				t.Fatalf("grid %v: CountSamples = %d, ContainsPoint scan = %d (polygon %v, samples %v)",
 					cfg, got, want, pg.Shell, samples)
+			}
+			if got := g.CountSamples(pg, 1, 2, nil); got != want12 {
+				t.Fatalf("grid %v: CountSamples over [1, 2] = %d, ContainsPoint scan = %d (polygon %v, samples %v)",
+					cfg, got, want12, pg.Shell, samples)
 			}
 		}
 	})
