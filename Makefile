@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test bench-test race race-engine serve-race serve-smoke telemetry chaos cover bench microbench experiments experiments-full fmt fmt-check vet vet-strict lint lint-sarif fuzz-smoke clean
+.PHONY: all check build test bench-test race race-engine serve-race serve-smoke telemetry chaos cover bench microbench fmt fmt-check vet vet-strict lint lint-sarif fuzz-smoke clean
 
 all: check
 
@@ -114,15 +114,10 @@ cover:
 bench:
 	bash bench/run.sh
 
+# Every go test benchmark: the timings behind EXPERIMENTS.md's tables
+# (their pass gates are ordinary tests, run by test).
 microbench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Regenerate every table in EXPERIMENTS.md.
-experiments:
-	$(GO) run ./cmd/mobench
-
-experiments-full:
-	$(GO) run ./cmd/mobench -full
 
 fmt:
 	gofmt -w .

@@ -1,10 +1,10 @@
 package mogis
 
-// Root benchmark harness: one benchmark per experiment table of
-// EXPERIMENTS.md (P1–P3 and P5 plus the paper-artifact query E4 and
-// the γ operator), so that `go test -bench=.` regenerates every
-// measured series. The cmd/mobench binary prints the same tables
-// with labels.
+// Root benchmarks: one per experiment table of EXPERIMENTS.md that
+// times the model's own evaluation strategy (P1–P3 and P5, plus the
+// paper-artifact query E4 and the γ operator). paper_test.go holds
+// the paper's worked example as tests; the other timings are
+// benchmarks beside the code they time (DESIGN.md §4).
 
 import (
 	"context"

@@ -11,9 +11,13 @@
 // examples/ are the entry points:
 //
 //	cmd/moviz    — render Figure 1 and print the Figure-2 schema
-//	cmd/mobench  — regenerate every experiment in EXPERIMENTS.md
 //	cmd/pietql   — run Piet-QL queries (REPL or one-shot)
 //	cmd/mogen    — generate synthetic cities and trajectories
+//	cmd/mogisd   — serve Piet-QL, ingest and geofence events over HTTP
+//
+// The experiments of EXPERIMENTS.md are tests and benchmarks: the
+// paper's worked example is paper_test.go, and every other gate and
+// timing sits beside the code it covers (DESIGN.md §4).
 package mogis
 
 // Version is the library version.

@@ -182,3 +182,56 @@ func TestGridQueryAllocs(t *testing.T) {
 		t.Errorf("CountSamplesInside allocates %.0f times per query; want <= 64 (per-sample allocation regression?)", allocs)
 	}
 }
+
+// BenchmarkSampledRegionCounts times the region×interval sweep the
+// sample grid and its per-cell temporal index exist for
+// (EXPERIMENTS.md P10, P13): per low-income neighborhood of an 8×8
+// generated city, the samples inside and the distinct objects sampled
+// inside, over 12 narrow windows (span/64 wide, spread across the
+// extent) of 600 objects × 100 samples. "scan" is the grid-off
+// columnar scan, "grid" the engine default. Their answers are gated
+// by TestGridAcceleratedIdentity and TestTemporalVerifyMode.
+func BenchmarkSampledRegionCounts(b *testing.B) {
+	city := workload.GenCity(workload.CityConfig{Seed: 13, Cols: 8, Rows: 8})
+	fm := workload.GenTrajectories(city.Extent, workload.TrajConfig{
+		Seed: 13, Objects: 600, Samples: 100, Step: 60, Speed: 3,
+	})
+	_, eng := city.Context(fm)
+	eng.SetMetrics(obs.NewMetrics(obs.NewRegistry()))
+	polys := city.LowIncomePolygons()
+	lo, hi, _ := fm.TimeSpan()
+	const slices = 12
+	span := int64(hi - lo)
+	var windows []timedim.Interval
+	for i := int64(0); i < slices; i++ {
+		wlo := lo + timedim.Instant(i*span/slices)
+		windows = append(windows, timedim.Interval{Lo: wlo, Hi: min(hi, wlo+timedim.Instant(span/64))})
+	}
+	ctx := context.Background()
+	sweep := func(b *testing.B) {
+		for _, iv := range windows {
+			for _, pg := range polys {
+				if _, err := eng.CountSamplesInside(ctx, "FM", pg, iv); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.ObjectsSampledInside(ctx, "FM", pg, iv); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, route := range []struct {
+		name string
+		grid int
+	}{{"scan", -1}, {"grid", 0}} {
+		b.Run(route.name, func(b *testing.B) {
+			eng.SetAggGrid(route.grid)
+			eng.ResetCache()
+			sweep(b) // builds the columnar snapshot or the grid
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sweep(b)
+			}
+		})
+	}
+}

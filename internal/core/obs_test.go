@@ -2,12 +2,13 @@ package core_test
 
 import (
 	"context"
-
+	"io"
 	"testing"
 
 	"mogis/internal/fo"
 	"mogis/internal/obs"
 	"mogis/internal/scenario"
+	"mogis/internal/telemetry"
 )
 
 // TestResetCache exercises the litCache accounting: hit/miss counters,
@@ -98,23 +99,33 @@ func TestType4SpanStages(t *testing.T) {
 	}
 }
 
-// BenchmarkRemark1 quantifies the tracing overhead on the motivating
-// query; the disabled state is the production default.
+// BenchmarkRemark1 quantifies the observability overhead on the
+// motivating query (EXPERIMENTS.md P8, P11). "tracing-off" is the
+// production default with telemetry detached; "tracing-on" attaches a
+// span tracer per query; "telemetry-on" records every query in a
+// collector, and "telemetry-log" adds the structured query log. The
+// telemetry rows against tracing-off are the recording overhead.
 func BenchmarkRemark1(b *testing.B) {
-	for _, traced := range []bool{false, true} {
-		name := "tracing-off"
-		if traced {
-			name = "tracing-on"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, mode := range []struct {
+		name   string
+		traced bool
+		col    *telemetry.Collector
+	}{
+		{"tracing-off", false, nil},
+		{"tracing-on", true, nil},
+		{"telemetry-on", false, telemetry.New(telemetry.Config{Registry: obs.NewRegistry()})},
+		{"telemetry-log", false, telemetry.New(telemetry.Config{Registry: obs.NewRegistry(), LogWriter: io.Discard})},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
 			s := scenario.New()
+			s.Engine.SetTelemetry(mode.col)
 			ctx := context.Background()
 			if _, err := s.MotivatingResult(ctx); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if traced {
+				if mode.traced {
 					tr := obs.NewTracer("remark1")
 					if _, err := s.MotivatingResult(obs.WithTracer(ctx, tr)); err != nil {
 						b.Fatal(err)

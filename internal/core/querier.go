@@ -17,7 +17,7 @@ import (
 
 // Querier is the engine surface callers program against: the 18 query
 // entry points plus the configuration and cache-lifecycle knobs that
-// pietql, the server, the benchmarks and the experiments need. *Engine
+// pietql, the server, the tests and the benchmarks need. *Engine
 // implements it; callers that wrap the engine (tracing, test doubles)
 // embed the interface rather than the concrete type.
 type Querier interface {

@@ -9,6 +9,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -362,13 +363,21 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV reads a table written by WriteCSV.
+// ReadCSV reads a table written by WriteCSV. The table must be a
+// function (Oid, t) -> (x, y) over finite coordinates: a row repeating
+// an earlier row is a no-op, as in WithAppended, and a row giving an
+// earlier row's (Oid, t) another position is an ErrConflictingSample.
 func ReadCSV(name string, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	recs, err := cr.ReadAll()
 	if err != nil {
 		return nil, fmt.Errorf("moft: read csv: %w", err)
 	}
+	type key struct {
+		oid Oid
+		t   timedim.Instant
+	}
+	seen := make(map[key]Tuple, len(recs))
 	t := New(name)
 	for i, rec := range recs {
 		if i == 0 && len(rec) > 0 && rec[0] == "oid" {
@@ -385,15 +394,31 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("moft: row %d t: %w", i, err)
 		}
-		x, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("moft: row %d x: %w", i, err)
+		// A non-finite position would poison every extent derived
+		// from the table: its bounding box, the sample grid, the
+		// prefilter.
+		var xy [2]float64
+		for j := range xy {
+			v, err := strconv.ParseFloat(rec[2+j], 64)
+			if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+				err = fmt.Errorf("non-finite coordinate %q", rec[2+j])
+			}
+			if err != nil {
+				return nil, fmt.Errorf("moft: row %d %c: %w", i, "xy"[j], err)
+			}
+			xy[j] = v
 		}
-		y, err := strconv.ParseFloat(rec[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("moft: row %d y: %w", i, err)
+		tp := Tuple{Oid: Oid(oid), T: timedim.Instant(ts), X: xy[0], Y: xy[1]}
+		k := key{tp.Oid, tp.T}
+		if prev, dup := seen[k]; dup {
+			if prev != tp {
+				return nil, fmt.Errorf("moft: row %d: %w: O%d at t=%d is already at (%g, %g)",
+					i, ErrConflictingSample, oid, ts, prev.X, prev.Y)
+			}
+			continue
 		}
-		t.Add(Oid(oid), timedim.Instant(ts), x, y)
+		seen[k] = tp
+		t.AddTuple(tp)
 	}
 	return t, nil
 }

@@ -2,6 +2,7 @@ package moft
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -132,19 +133,38 @@ func TestCSVRoundtrip(t *testing.T) {
 
 func TestReadCSVErrors(t *testing.T) {
 	cases := []string{
-		"oid,t,x,y\n1,2,3\n",   // arity
-		"oid,t,x,y\nx,2,3,4\n", // bad oid
-		"oid,t,x,y\n1,x,3,4\n", // bad t
-		"oid,t,x,y\n1,2,x,4\n", // bad x
-		"oid,t,x,y\n1,2,3,x\n", // bad y
+		"oid,t,x,y\n1,2,3\n",       // arity
+		"oid,t,x,y\nx,2,3,4\n",     // bad oid
+		"oid,t,x,y\n1,x,3,4\n",     // bad t
+		"oid,t,x,y\n1,2,x,4\n",     // bad x
+		"oid,t,x,y\n1,2,3,x\n",     // bad y
+		"oid,t,x,y\n1,2,NaN,4\n",   // non-finite x
+		"oid,t,x,y\n1,2,3,+Inf\n",  // non-finite y
+		"oid,t,x,y\n1,2,-inf,4\n",  // non-finite x
+		"oid,t,x,y\n1,2,1e400,4\n", // overflows to +Inf
 	}
 	for _, c := range cases {
 		if _, err := ReadCSV("bad", strings.NewReader(c)); err == nil {
 			t.Errorf("expected error for %q", c)
 		}
 	}
+	// A second position for a read (Oid, t) is not a function: the
+	// error names the conflicting row and unwraps to
+	// ErrConflictingSample.
+	_, err := ReadCSV("bad", strings.NewReader("oid,t,x,y\n1,10,0,0\n2,10,1,1\n1,10,5,5\n"))
+	if !errors.Is(err, ErrConflictingSample) || !strings.Contains(err.Error(), "row 3") {
+		t.Errorf("conflicting duplicate: err = %v, want ErrConflictingSample at row 3", err)
+	}
+	// An identical repeat is a no-op.
+	tb, err := ReadCSV("dup", strings.NewReader("1,10,0,0\n1,20,1,1\n1,10,0,0\n"))
+	if err != nil || tb.Len() != 2 {
+		t.Fatalf("identical repeat = %v, len %d; want nil, 2", err, tb.Len())
+	}
+	if got := tb.ObjectTuples(1); got[0].T != 10 || got[1].T != 20 {
+		t.Errorf("identical repeat samples = %+v", got)
+	}
 	// Headerless input is accepted.
-	tb, err := ReadCSV("ok", strings.NewReader("1,2,3,4\n"))
+	tb, err = ReadCSV("ok", strings.NewReader("1,2,3,4\n"))
 	if err != nil || tb.Len() != 1 {
 		t.Errorf("headerless = %v, len %d", err, tb.Len())
 	}

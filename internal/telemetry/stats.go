@@ -105,9 +105,8 @@ func runtimeStats(start time.Time) RuntimeStats {
 	}
 }
 
-// WriteStatsJSON renders the stats document as indented JSON — the
-// /debug/stats response body and the mobench -stats artifact share
-// this one encoder. Nil-safe.
+// WriteStatsJSON renders the stats document as indented JSON: the
+// /debug/stats response body. Nil-safe.
 func (c *Collector) WriteStatsJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -1,6 +1,7 @@
 package trajagg
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"mogis/internal/moft"
 	"mogis/internal/timedim"
 	"mogis/internal/traj"
+	"mogis/internal/workload"
 )
 
 func grid(t *testing.T, nx, ny int) *UnitGrid {
@@ -266,5 +268,69 @@ func TestSampleSurface(t *testing.T) {
 	}
 	if s.Total() != 4 {
 		t.Errorf("Total = %d, want 4", s.Total())
+	}
+}
+
+// p7Workload is the trajectory-aggregation workload of EXPERIMENTS.md
+// P7: 100 objects × 120 samples over an 8×8 generated city, and its
+// 16×16 unit grid.
+func p7Workload(tb testing.TB) (*UnitGrid, map[moft.Oid]*traj.LIT) {
+	tb.Helper()
+	city := workload.GenCity(workload.CityConfig{Seed: 7, Cols: 8, Rows: 8})
+	g, err := NewUnitGrid(city.Extent, 16, 16)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fm := workload.GenTrajectories(city.Extent, workload.TrajConfig{
+		Seed: 7, Objects: 100, Samples: 120, Step: 30, Speed: 2,
+	})
+	_, eng := city.Context(fm)
+	lits, err := eng.Trajectories(context.Background(), "FM")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g, lits
+}
+
+// TestSurfaceSurvivesCompression (P7): unit-grid aggregation is
+// insensitive to sampling (paper §2, Meratnia & de By). SED
+// compression at 1/16 of a unit cell's width shrinks the trajectories
+// while the pass-count surface changes by at most 10 % in relative
+// L1 (1.5 % measured).
+func TestSurfaceSurvivesCompression(t *testing.T) {
+	g, lits := p7Workload(t)
+	eps := g.UnitBox(0).Width() / 16
+	var orig, kept int
+	compressed := make(map[moft.Oid]*traj.LIT, len(lits))
+	for oid, l := range lits {
+		c := traj.Compress(l.Sample(), eps)
+		orig, kept = orig+len(l.Sample()), kept+len(c)
+		compressed[oid] = traj.MustLIT(c)
+	}
+	if kept >= orig {
+		t.Errorf("compression kept %d of %d samples", kept, orig)
+	}
+	before, after := BuildSurface(g, lits), BuildSurface(g, compressed)
+	var l1, total int
+	for u, n := range before.Counts {
+		l1 += max(n-after.Counts[u], after.Counts[u]-n)
+		total += n
+	}
+	if total == 0 || float64(l1) > 0.10*float64(total) {
+		t.Errorf("pass-count surface L1 delta %d of %d (%.1f%%), want <= 10%%",
+			l1, total, 100*float64(l1)/float64(total))
+	}
+}
+
+// surfaceSink keeps BenchmarkBuildSurface's result live.
+var surfaceSink *Surface
+
+// BenchmarkBuildSurface times the pass-count surface of the P7
+// workload.
+func BenchmarkBuildSurface(b *testing.B) {
+	g, lits := p7Workload(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		surfaceSink = BuildSurface(g, lits)
 	}
 }
